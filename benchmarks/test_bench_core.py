@@ -222,18 +222,14 @@ def test_forest_infer_batched(benchmark, bench_forest):
     assert len(results) == 512
 
 
-# -- kernel-tier microbenches (REPRO_KERNEL_TIER picks numpy vs numba) ----------
+# -- kernel microbenches (repro.core.kernels) ---------------------------------
 #
-# Each sweep repeats one registry kernel over many campaign-scale-small
-# inputs, so per-iteration interpreter overhead — exactly what the numba
-# tier removes — dominates the numpy tier's time.  CI runs this file once
-# per tier and scripts/compare_kernel_tiers.py reports the speedups.
+# Each sweep repeats one kernel loop over many campaign-scale-small
+# inputs, so per-iteration interpreter overhead dominates the time.
 
 
 @pytest.fixture(scope="module")
 def kernel_inputs():
-    from repro.core.kernels import get_kernels
-
     rng = np.random.default_rng(17)
     triangulars = [
         (np.triu(rng.standard_normal((48, 48))) + 8.0 * np.eye(48),
@@ -244,61 +240,47 @@ def kernel_inputs():
     offers = [rng.standard_normal(300) for _ in range(256)]
     q, r = np.linalg.qr(rng.standard_normal((200, 40)))
     panels = [rng.standard_normal((128, 16)) for _ in range(128)]
-    # one call per kernel up front so a numba tier pays its JIT cost
-    # outside the timed region
-    kern = get_kernels()
-    kern.back_substitution(*triangulars[0], 1e-12)
-    kern.cgs2_project(basis, 24, offers[0].copy())
-    kern.givens_downdate(r.copy(), q.copy(), 0)
-    panel = panels[0].copy()
-    kern.householder_panel(panel, np.zeros_like(panel), np.zeros(16), 0, 16)
     return triangulars, basis, offers, (q, r), panels
 
 
 def test_kernel_back_substitution_sweep(benchmark, kernel_inputs):
-    from repro.core.kernels import get_kernels
+    from repro.core.kernels import back_substitution
 
     triangulars = kernel_inputs[0]
-    kern = get_kernels()
 
     def sweep():
-        return sum(kern.back_substitution(U, b, 1e-12)[0] for U, b in triangulars)
+        return sum(back_substitution(U, b, 1e-12)[0] for U, b in triangulars)
 
     assert np.isfinite(benchmark(sweep))
 
 
 def test_kernel_cgs2_sweep(benchmark, kernel_inputs):
-    from repro.core.kernels import get_kernels
+    from repro.core.kernels import cgs2_project
 
     _, basis, offers, _, _ = kernel_inputs
-    kern = get_kernels()
 
     def sweep():
-        return sum(
-            kern.cgs2_project(basis, 24, v.copy())[0] for v in offers
-        )
+        return sum(cgs2_project(basis, 24, v.copy())[0] for v in offers)
 
     assert np.isfinite(benchmark(sweep))
 
 
 def test_kernel_givens_downdate_sweep(benchmark, kernel_inputs):
-    from repro.core.kernels import get_kernels
+    from repro.core.kernels import givens_downdate
 
     q, r = kernel_inputs[3]
-    kern = get_kernels()
 
     def sweep():
         for _ in range(64):
-            kern.givens_downdate(r.copy(), q.copy(), 0)
+            givens_downdate(r.copy(), q.copy(), 0)
 
     benchmark(sweep)
 
 
 def test_kernel_householder_panel_sweep(benchmark, kernel_inputs):
-    from repro.core.kernels import get_kernels
+    from repro.core.kernels import householder_panel
 
     panels = kernel_inputs[4]
-    kern = get_kernels()
 
     def sweep():
         acc = 0.0
@@ -306,7 +288,7 @@ def test_kernel_householder_panel_sweep(benchmark, kernel_inputs):
             work = panel.copy()
             V = np.zeros_like(work)
             betas = np.zeros(work.shape[1])
-            T = kern.householder_panel(work, V, betas, 0, work.shape[1])
+            T = householder_panel(work, V, betas, 0, work.shape[1])
             acc += T[0, 0]
         return acc
 

@@ -10,10 +10,7 @@ One composable seam over every inference backend:
   external backends;
 * :class:`Scenario` — a declarative topology → prober → estimator(s) →
   metrics pipeline returning a :class:`ScenarioResult` with
-  per-estimator accuracy reports;
-* :class:`DistributedEstimator` — fans any estimator's
-  ``predict_batch`` across a :class:`~repro.runner.ParallelRunner`
-  backend (including ``remote``), one kept-column group per shard.
+  per-estimator accuracy reports.
 
 Quickstart::
 
@@ -38,7 +35,6 @@ from repro.api.adapters import (
     SCFSEstimator,
     TomoEstimator,
 )
-from repro.api.distributed import DistributedEstimator, distributed
 from repro.api.estimator import (
     Estimator,
     EstimatorSpec,
@@ -57,7 +53,6 @@ from repro.api.scenario import (
 __all__ = [
     "CLINKEstimator",
     "DelayEstimator",
-    "DistributedEstimator",
     "Estimator",
     "EstimatorEvaluation",
     "EstimatorSpec",
@@ -70,7 +65,6 @@ __all__ = [
     "ScenarioResult",
     "TomoEstimator",
     "available",
-    "distributed",
     "evaluate_forest",
     "from_spec",
     "get",

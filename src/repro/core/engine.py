@@ -34,7 +34,7 @@ from scipy import linalg as scipy_linalg
 from scipy import sparse
 
 from repro.core.augmented import IntersectingPairs, intersecting_pairs
-from repro.core.kernels import get_kernels
+from repro.core.kernels import cgs2_project
 from repro.core.linalg import (
     IncrementalColumnBasis,
     QRFactorization,
@@ -591,13 +591,12 @@ class ReductionCache:
             (basis_cols.shape[0], rank + len(extras)), dtype=np.float64
         )
         storage[:, :rank] = basis_cols
-        kern = get_kernels()
         for column in extras:
             col = self._column(column)
             norm0 = float(np.linalg.norm(col))
             if norm0 == 0.0:
                 return None
-            v = kern.cgs2_project(storage, rank, col) if rank else col
+            v = cgs2_project(storage, rank, col) if rank else col
             norm1 = float(np.linalg.norm(v))
             if norm1 <= 1e-9 * norm0:
                 return None
@@ -729,6 +728,8 @@ class InferenceEngine:
 
     def learn_variances(self, training: MeasurementCampaign) -> VarianceEstimate:
         """Estimate link variances from the m training snapshots."""
+        for snapshot in training.snapshots:
+            self._check_paths(snapshot)
         if training.routing is not self.routing and not np.array_equal(
             training.routing.matrix, self.routing.matrix
         ):
@@ -740,6 +741,13 @@ class InferenceEngine:
             floor=self.floor,
             pairs=self.pairs,
         )
+
+    def _check_paths(self, snapshot: Snapshot) -> None:
+        if snapshot.num_paths != self.routing.num_paths:
+            raise ValueError(
+                f"snapshot has {snapshot.num_paths} paths, but the routing "
+                f"matrix has {self.routing.num_paths}"
+            )
 
     # -- phase 2 ----------------------------------------------------------------
 
@@ -808,6 +816,7 @@ class InferenceEngine:
         self, snapshot: Snapshot, estimate: VarianceEstimate
     ) -> LIAResult:
         """Infer link loss rates on one snapshot using learned variances."""
+        self._check_paths(snapshot)
         reduction = self.reduce(estimate, snapshot.num_probes)
         y = snapshot.path_log_rates(self.floor)
         x = self._solve_reduced(reduction, y)
@@ -834,6 +843,7 @@ class InferenceEngine:
             OrderedDict()
         )
         for index, snapshot in enumerate(snapshots):
+            self._check_paths(snapshot)
             reduction = self.reduce(estimate, snapshot.num_probes)
             entry = groups.setdefault(reduction.key(), (reduction, []))
             entry[1].append(index)

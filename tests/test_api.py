@@ -467,110 +467,6 @@ class TestScenarioSpec:
             Scenario.from_spec({"process": {"kind": "laplace"}})
 
 
-class TestDistributed:
-    """DistributedEstimator: wire fidelity + one kept-column group per shard."""
-
-    @pytest.fixture(scope="class")
-    def document_and_window(self, workload):
-        from repro.io.serialization import CampaignDocument
-
-        prepared, campaign = workload
-        document = CampaignDocument(
-            network=prepared.topology.network,
-            beacons=prepared.topology.beacons,
-            destinations=prepared.topology.destinations,
-            paths=prepared.paths,
-            snapshots=list(campaign.snapshots[:9]),
-        )
-        return document, list(campaign.snapshots[9:])
-
-    def test_serial_distributed_matches_local(self, document_and_window):
-        from repro.api import DistributedEstimator
-
-        document, window = document_and_window
-        local = get("lia").fit(document.campaign(), paths=document.paths)
-        dist = DistributedEstimator(EstimatorSpec("lia")).fit(document)
-        local_results = local.predict_batch(window)
-        dist_results = dist.predict_batch(window)
-        for a, b in zip(local_results, dist_results):
-            assert np.array_equal(a.values, b.values)
-            assert a.kind == b.kind == "rates"
-        # fixed probe count => one kept-column set => exactly one shard
-        assert dist.runner.last_stats.shards_total == 1
-
-    def test_process_backend_distributed_matches_local(self, document_and_window):
-        from repro.api import DistributedEstimator
-        from repro.runner import ParallelRunner
-
-        document, window = document_and_window
-        local = get("lia").fit(document.campaign(), paths=document.paths)
-        dist = DistributedEstimator(
-            EstimatorSpec("lia"),
-            runner=ParallelRunner(n_jobs=2, backend="process"),
-        ).fit(document)
-        for a, b in zip(local.predict_batch(window), dist.predict_batch(window)):
-            assert np.array_equal(a.values, b.values)
-
-    def test_one_kept_column_group_per_shard(self, document_and_window):
-        from repro.api import DistributedEstimator
-        from repro.probing.snapshot import Snapshot
-
-        document, window = document_and_window
-        # Mix probe counts: the threshold cutoff scales with 1/probes, so
-        # distinct counts generally reduce to distinct kept-column sets.
-        mixed = [
-            Snapshot(
-                path_transmission=snap.path_transmission,
-                num_probes=(300 if i % 2 else 40),
-            )
-            for i, snap in enumerate(window)
-        ]
-        local = get("lia").fit(document.campaign(), paths=document.paths)
-        dist = DistributedEstimator(EstimatorSpec("lia")).fit(document)
-        distinct_groups = {dist._group_key(snap) for snap in mixed}
-        dist_results = dist.predict_batch(mixed)
-        assert dist.runner.last_stats.shards_total == len(distinct_groups)
-        for a, b in zip(local.predict_batch(mixed), dist_results):
-            assert np.array_equal(a.values, b.values)
-
-    def test_binary_estimator_round_trips(self, document_and_window):
-        from repro.api import DistributedEstimator
-
-        document, window = document_and_window
-        local = get("scfs").fit(document.campaign(), paths=document.paths)
-        dist = DistributedEstimator(EstimatorSpec("scfs")).fit(document)
-        for a, b in zip(local.predict_batch(window), dist.predict_batch(window)):
-            assert np.array_equal(a.values, b.values)
-            assert a.congested_columns == b.congested_columns
-            assert b.kind == "binary"
-
-    def test_predict_before_fit_raises(self):
-        from repro.api import DistributedEstimator
-
-        with pytest.raises(NotFittedError):
-            DistributedEstimator(EstimatorSpec("lia")).predict_batch([])
-
-    def test_requires_shard_size_one(self):
-        from repro.api import DistributedEstimator
-        from repro.runner import ParallelRunner
-
-        with pytest.raises(ValueError, match="shard_size=1"):
-            DistributedEstimator(
-                EstimatorSpec("lia"),
-                runner=ParallelRunner(shard_size=2),
-            )
-
-    def test_helper_and_spec_round_trip(self):
-        from repro.api import DistributedEstimator, distributed
-
-        wrapper = distributed(EstimatorSpec("lia"))
-        assert isinstance(wrapper, DistributedEstimator)
-        assert wrapper.name == "lia" and wrapper.kind == "rates"
-        assert wrapper.spec() == EstimatorSpec("lia")
-        # dict form accepted too (config-file path)
-        assert distributed({"method": "scfs"}).name == "scfs"
-
-
 class TestEvaluateForest:
     """Forest-batched evaluation equals the sequential Scenario loop."""
 

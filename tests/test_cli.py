@@ -79,6 +79,28 @@ class TestSimulateInfer:
         count = int(out.split(" links above")[0].rsplit(" ", 1)[-1])
         assert count >= 1
 
+    def test_infer_rejects_nan_transmission(self, tmp_path, capsys):
+        """A NaN in a campaign document is a clear error, not NaN output."""
+        import json
+
+        doc = tmp_path / "campaign.json"
+        main(
+            [
+                "simulate", "--topology", "tree", "--size", "80",
+                "--snapshots", "6", "--probes", "300", "--seed", "3",
+                "--out", str(doc),
+            ]
+        )
+        payload = json.loads(doc.read_text())
+        payload["snapshots"][2]["path_transmission"][1] = float("nan")
+        doc.write_text(json.dumps(payload))
+        capsys.readouterr()
+        for argv in (["infer", str(doc)], ["compare", str(doc)]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert "must be finite and lie in [0, 1]" in captured.err
+            assert "links above" not in captured.out
+
     def test_congestion_traffic_round_trip(self, tmp_path, capsys):
         """simulate --traffic congestion -> compare, the CI smoke path."""
         doc = tmp_path / "congested.json"
@@ -375,46 +397,3 @@ class TestWorkerVerb:
         code = main(["worker", "127.0.0.1:1", "--retry-seconds", "0.2"])
         assert code == 1
         assert "no coordinator" in capsys.readouterr().out
-
-
-class TestKernelTierFlag:
-    """The global --kernel-tier flag routes into the kernel registry."""
-
-    @pytest.fixture(autouse=True)
-    def reset_tier(self, monkeypatch):
-        from repro.core.kernels import ENV_VAR, set_kernel_tier
-
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        set_kernel_tier(None)
-        yield
-        set_kernel_tier(None)
-
-    AUDIT = ["audit", "--topology", "tree", "--size", "60", "--seed", "1"]
-
-    def test_numpy_tier_accepted(self, capsys):
-        from repro.core.kernels import current_tier
-
-        code = main(["--kernel-tier", "numpy"] + self.AUDIT)
-        assert code == 0
-        assert current_tier() == "numpy"
-
-    def test_default_leaves_tier_alone(self):
-        from repro.core.kernels import available_tiers, current_tier
-
-        assert main(self.AUDIT) == 0
-        assert current_tier() == available_tiers()[0]
-
-    def test_missing_numba_is_a_loud_failure(self, capsys):
-        from repro.core.kernels import numba_available
-
-        if numba_available():
-            pytest.skip("numba installed; the explicit request succeeds here")
-        code = main(["--kernel-tier", "numba"] + self.AUDIT)
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "--kernel-tier" in err and "numba is not installed" in err
-
-    def test_unknown_tier_rejected_at_parse_time(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["--kernel-tier", "turbo"] + self.AUDIT)
-        assert "invalid choice" in capsys.readouterr().err

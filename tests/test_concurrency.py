@@ -1,12 +1,11 @@
 """Thread-safety regressions for module-level shared state.
 
 The ``thread`` execution backend runs trials concurrently *inside one
-process*, so the kernel-tier switch, the forest-plan LRU and the
-estimator/backend registries are shared state.  Each test hammers one
-of those seams from many threads and asserts the invariant the lock
-exists to protect; before the locks landed these produced wrong modules
-(tier races), drifting byte counters (plan LRU) and lost registrations
-(registry check-then-set races).
+process*, so the forest-plan LRU and the estimator/backend registries
+are shared state.  Each test hammers one of those seams from many
+threads and asserts the invariant the lock exists to protect; before
+the locks landed these produced drifting byte counters (plan LRU) and
+lost registrations (registry check-then-set races).
 
 Races are probabilistic: these tests cannot prove absence, but they
 fail loudly (and did, pre-lock) when the guarded sections regress.
@@ -20,7 +19,6 @@ import pytest
 
 from repro.api import registry
 from repro.core import engine as engine_module
-from repro.core import kernels
 from repro.core.engine import (
     InferenceEngine,
     infer_many,
@@ -43,52 +41,6 @@ def run_concurrently(tasks):
         futures = [pool.submit(task) for task in tasks]
         for future in futures:
             future.result()
-
-
-class TestKernelTierRaces:
-    def test_tier_flip_never_hands_out_a_mismatched_backend(self):
-        """get_kernels() under a racing set_kernel_tier() stays coherent."""
-        valid = {
-            f"repro.core.kernels.{tier}_backend"
-            for tier in ("numpy", "numba")
-        }
-        barrier = threading.Barrier(WORKERS)
-
-        def flipper():
-            barrier.wait()
-            for _ in range(200):
-                kernels.set_kernel_tier("numpy")
-                kernels.set_kernel_tier(None)
-
-        def reader():
-            barrier.wait()
-            for _ in range(200):
-                module = kernels.get_kernels()
-                assert module.__name__ in valid
-                assert kernels.current_tier() in ("numpy", "numba")
-
-        try:
-            run_concurrently([flipper] * (WORKERS // 2) + [reader] * (WORKERS // 2))
-        finally:
-            kernels.set_kernel_tier(None)
-
-    def test_use_kernel_tier_restores_after_concurrent_blocks(self):
-        barrier = threading.Barrier(WORKERS)
-
-        def pin():
-            barrier.wait()
-            for _ in range(100):
-                with kernels.use_kernel_tier("numpy") as tier:
-                    assert tier == "numpy"
-                    assert kernels.get_kernels().__name__.endswith(
-                        "numpy_backend"
-                    )
-
-        try:
-            run_concurrently([pin] * WORKERS)
-        finally:
-            kernels.set_kernel_tier(None)
-        assert kernels.current_tier() in kernels.available_tiers()
 
 
 class TestRegistryRaces:

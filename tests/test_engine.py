@@ -14,6 +14,7 @@ from repro.core.engine import (
 from repro.core.lia import LossInferenceAlgorithm
 from repro.core.reduction import reduce_to_full_rank, solve_reduced_system
 from repro.core.variance import VarianceEstimate
+from repro.probing.snapshot import MeasurementCampaign, Snapshot
 
 
 @pytest.fixture(scope="module")
@@ -513,6 +514,39 @@ class TestEngineInference:
         )
         with pytest.raises(ValueError, match="does not match"):
             lia.infer(target, bogus)
+
+    @staticmethod
+    def _short_snapshot(routing, target):
+        """A snapshot one path short, and the error that must name it."""
+        short = Snapshot(
+            path_transmission=target.path_transmission[:-1],
+            num_probes=target.num_probes,
+        )
+        message = (
+            f"snapshot has {routing.num_paths - 1} paths, but the routing "
+            f"matrix has {routing.num_paths}"
+        )
+        return short, message
+
+    def test_infer_names_wrong_path_count(self, trained):
+        routing, lia, _, target, estimate = trained
+        short, message = self._short_snapshot(routing, target)
+        with pytest.raises(ValueError, match=message):
+            lia.engine.infer(short, estimate)
+
+    def test_infer_batch_names_wrong_path_count(self, trained):
+        routing, lia, _, target, estimate = trained
+        short, message = self._short_snapshot(routing, target)
+        with pytest.raises(ValueError, match=message):
+            lia.engine.infer_batch([target, short], estimate)
+
+    def test_learn_variances_names_wrong_path_count(self, trained):
+        routing, lia, _, target, _ = trained
+        short, message = self._short_snapshot(routing, target)
+        training = MeasurementCampaign(routing=routing)
+        training.snapshots.append(short)  # bypasses append()'s own check
+        with pytest.raises(ValueError, match=message):
+            lia.engine.learn_variances(training)
 
     def test_pairs_setter_validates(self, trained, small_mesh):
         routing, lia, _, _, _ = trained

@@ -36,6 +36,20 @@ class TestSnapshot:
         with pytest.raises(ValueError):
             Snapshot(path_transmission=np.array([0.5]), num_probes=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_transmission(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Snapshot(path_transmission=np.array([0.9, bad, 1.0]), num_probes=10)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1, 1.1])
+    def test_rejects_bad_realized_fractions(self, bad):
+        with pytest.raises(ValueError, match="realized loss fractions"):
+            Snapshot(
+                path_transmission=np.array([0.9, 1.0]),
+                num_probes=10,
+                realized_loss_fractions=np.array([0.0, bad]),
+            )
+
     def test_loss_complement(self):
         snap = Snapshot(path_transmission=np.array([0.9, 1.0]), num_probes=10)
         assert np.allclose(snap.path_loss_rates(), [0.1, 0.0])
