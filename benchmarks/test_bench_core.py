@@ -164,64 +164,6 @@ def test_mesh_greedy_independent_columns(benchmark, bench_mesh, mesh_estimate):
     assert len(kept) > 0
 
 
-# -- campaign-scale forest: block-diagonal batched phase-2 ----------------------
-
-
-@pytest.fixture(scope="module")
-def bench_forest():
-    """512 independent 31-node trees, fitted and ready for phase-2.
-
-    The campaign-scale shape: thousands of trees whose individual solves
-    are far too small to saturate BLAS, so the Python dispatch around
-    each one dominates a loop.  Fitting (phase 1) happens here, once;
-    the benches below time only the phase-2 inference dispatch.
-    """
-    from repro.core.lia import infer_many
-    from repro.experiments.base import prepare_topology, scale_params
-    from repro.probing import MeasurementCampaign, ProberConfig, ProbingSimulator
-    from repro.utils.rng import derive_seed
-
-    params = scale_params("tiny").sized(tree_nodes=31)
-    runs = []
-    for i in range(512):
-        prepared = prepare_topology("tree", params, derive_seed(7, 100 + i))
-        simulator = ProbingSimulator(
-            prepared.paths,
-            prepared.topology.network.num_links,
-            config=ProberConfig(
-                probes_per_snapshot=200, congestion_probability=0.15
-            ),
-        )
-        campaign = simulator.run_campaign(
-            9, prepared.routing, seed=derive_seed(7, 1000 + i)
-        )
-        training = MeasurementCampaign(
-            routing=campaign.routing, snapshots=campaign.snapshots[:-1]
-        )
-        lia = LossInferenceAlgorithm(prepared.routing)
-        estimate = lia.learn_variances(training)
-        runs.append((lia, campaign.snapshots[-1], estimate))
-    infer_many(runs, mode="loop")  # warm: per-tree factorizations
-    infer_many(runs, mode="packed")  # warm: the packed forest plan
-    return runs
-
-
-def test_forest_infer_loop_warm(benchmark, bench_forest):
-    """512 per-tree engine solves, the batched mode's foil."""
-    from repro.core.lia import infer_many
-
-    results = benchmark(infer_many, bench_forest, mode="loop")
-    assert len(results) == 512
-
-
-def test_forest_infer_batched(benchmark, bench_forest):
-    """The same 512 trees as one block-diagonal packed solve."""
-    from repro.core.lia import infer_many
-
-    results = benchmark(infer_many, bench_forest, mode="packed")
-    assert len(results) == 512
-
-
 # -- kernel microbenches (repro.core.kernels) ---------------------------------
 #
 # Each sweep repeats one kernel loop over many campaign-scale-small

@@ -112,21 +112,25 @@ class _Scenario:
         # B (one more window, kept + 1).  refresh_interval == window puts
         # the second variance refresh exactly at t == 2 * window, where
         # the rolling window holds one full period of phase B.
-        def build(**limits):
+        def build(incremental=True):
             monitor = OnlineLossMonitor(
                 self.routing,
                 window=window,
                 refresh_interval=window,
                 localize_always=True,
-                **limits,
             )
+            if not incremental:
+                # The refactor-from-scratch twin: every refresh pays a
+                # cold reduction sweep and a fresh QR.
+                monitor.engine.factorization_cache.incremental = False
+                monitor.engine.reduction_cache.incremental = False
             for t in range(2 * window):
                 monitor.observe(self.snapshot(t))
             return monitor
 
         self.update_monitor = build()
         self.refactor_monitor = (
-            build(downdate_limit=0, update_limit=0) if warm_refactor else None
+            build(incremental=False) if warm_refactor else None
         )
         self.growth_snapshot = self.snapshot(2 * window)
 

@@ -7,11 +7,13 @@ Two statically checkable hazards:
 
 ``unlocked-global``
     a function rebinds a module global (``global x; x = ...``) outside
-    a ``with <module-level lock>:`` block.  Cache invalidation
-    (``invalidate_forest_plans``) is the canonical case.
+    a ``with <module-level lock>:`` block — for example a reset that
+    swaps in a fresh module-level cache.
 ``unlocked-mutation``
     a function mutates a module-level container (``_REGISTRY[k] = v``,
-    ``_plans.move_to_end(...)``, ``cache.clear()``) outside a lock.
+    ``_REGISTRY.pop(k)``, ``cache.clear()``) outside a lock.  The
+    canonical guarded case is :func:`repro.api.registry.register`, which
+    writes ``_REGISTRY`` only under ``with _REGISTRY_LOCK:``.
 
 A mutation is considered guarded when it executes under ``with <lock>``
 where ``<lock>`` is a module-level ``threading.Lock()`` / ``RLock()`` /

@@ -47,7 +47,6 @@ from repro.api.scenario import (
     EstimatorEvaluation,
     Scenario,
     ScenarioResult,
-    evaluate_forest,
 )
 
 __all__ = [
@@ -65,7 +64,6 @@ __all__ = [
     "ScenarioResult",
     "TomoEstimator",
     "available",
-    "evaluate_forest",
     "from_spec",
     "get",
     "register",

@@ -368,25 +368,6 @@ class Scenario:
             results = estimator.predict_batch(targets)
         else:
             results = [estimator.predict(targets[0])]
-        return self._score_results(
-            spec, num_training, targets, results, routing, target_consumer
-        )
-
-    def _score_results(
-        self,
-        spec: EstimatorSpec,
-        num_training: Optional[int],
-        targets: Sequence[Snapshot],
-        results: List[InferenceResult],
-        routing,
-        target_consumer=None,
-    ) -> EstimatorEvaluation:
-        """Score predictions already in hand (the tail half of ``_score``).
-
-        Split out so :func:`evaluate_forest` can run many trees' phase-2
-        solves as one batched system and still score each tree through
-        exactly the code path :meth:`evaluate` uses.
-        """
         if target_consumer is not None:
             for index, (target, result) in enumerate(zip(targets, results)):
                 target_consumer(
@@ -562,157 +543,3 @@ class Scenario:
         if campaign is None:
             campaign = self.simulate(prepared, seed, campaign_seed=campaign_seed)
         return self.evaluate(prepared, campaign, target_consumer=target_consumer)
-
-
-def evaluate_forest(
-    runs: Sequence[Tuple["Scenario", PreparedTopology, MeasurementCampaign]],
-    target_consumer: Optional[
-        Callable[[str, Optional[int], int, Snapshot, InferenceResult], None]
-    ] = None,
-) -> List[ScenarioResult]:
-    """Evaluate many independent scenario runs with one batched LIA solve.
-
-    The campaign-scale shape: a *forest* of small independent trees, each
-    with its own (scenario, prepared topology, campaign) triple.  Fitting
-    (phase 1) runs per tree exactly as :meth:`Scenario.evaluate` would,
-    but the LIA phase-2 solves — one small triangular system per tree —
-    are queued across the whole forest and dispatched as a single
-    block-diagonal :func:`repro.core.engine.infer_many` call, which
-    packs them into batched BLAS instead of a Python loop over trees.
-
-    Byte-identity: ``infer_many``'s packed mode is bit-identical to a
-    loop of ``engine.infer`` calls, and scoring goes through the same
-    ``_score_results`` tail as the sequential path, so the returned
-    :class:`ScenarioResult`\\ s equal ``[s.evaluate(p, c) for s, p, c in
-    runs]`` exactly (pinned in ``tests/test_api.py``).  Only single-target
-    LIA evaluations are batched; multi-target windows and non-LIA
-    estimators fall through to the sequential scoring path unchanged.
-
-    *target_consumer* has the same contract as in :meth:`Scenario.evaluate`
-    and is invoked in run order, then estimator/window order within a run.
-    """
-    from repro.api.adapters import LIAEstimator
-    from repro.core.engine import infer_many
-
-    queued: List[tuple] = []  # (engine, snapshot, estimate) across all trees
-    deferred: List[List[dict]] = []  # per-run scoring jobs, in order
-    contexts: List[tuple] = []
-
-    for scenario, prepared, campaign in runs:
-        routing = prepared.routing
-        max_m = len(campaign) - scenario.num_targets
-        if max_m < 1:
-            raise ValueError(
-                f"campaign of {len(campaign)} snapshots cannot hold "
-                f"{scenario.num_targets} targets plus a training window"
-            )
-        if max(scenario.grid) > max_m:
-            raise ValueError(
-                f"training window {max(scenario.grid)} exceeds the "
-                f"{max_m} available training snapshots"
-            )
-        targets = list(campaign.snapshots[max_m:])
-        jobs: List[dict] = []
-
-        def queue(spec, estimator, num_training, targets=targets, jobs=jobs):
-            if (
-                isinstance(estimator, LIAEstimator)
-                and len(targets) == 1
-                and estimator._estimate is not None
-            ):
-                # Defer phase 2 into the forest-wide batched solve.  The
-                # engine and estimate are captured *now*: the estimator
-                # object is refitted for the next window, but each fit
-                # produces a fresh estimate and the engine persists.
-                index = len(queued)
-                queued.append(
-                    (
-                        estimator._algorithm.engine,
-                        targets[0],
-                        estimator._estimate,
-                    )
-                )
-                jobs.append(
-                    {
-                        "spec": spec,
-                        "num_training": num_training,
-                        "estimator": estimator,
-                        "results": None,
-                        "span": (index, index + 1),
-                    }
-                )
-                return
-            # Everything else scores through the sequential path.
-            if len(targets) > 1:
-                results = estimator.predict_batch(targets)
-            else:
-                results = [estimator.predict(targets[0])]
-            jobs.append(
-                {
-                    "spec": spec,
-                    "num_training": num_training,
-                    "estimator": estimator,
-                    "results": results,
-                    "span": None,
-                }
-            )
-
-        for spec in scenario.estimators:
-            estimator = spec.build()
-            if getattr(estimator, "uses_training", True):
-                for m in scenario.grid:
-                    training = MeasurementCampaign(
-                        routing=routing,
-                        snapshots=campaign.snapshots[max_m - m : max_m],
-                    )
-                    estimator.fit(training, paths=prepared.paths)
-                    queue(spec, estimator, m)
-            else:
-                context = MeasurementCampaign(
-                    routing=routing, snapshots=campaign.snapshots[:max_m]
-                )
-                estimator.fit(context, paths=prepared.paths)
-                queue(spec, estimator, None)
-
-        deferred.append(jobs)
-        contexts.append((scenario, prepared, campaign, targets))
-
-    batch = infer_many(queued) if queued else []
-
-    scenario_results: List[ScenarioResult] = []
-    for (scenario, prepared, campaign, targets), jobs in zip(contexts, deferred):
-        evaluations: List[EstimatorEvaluation] = []
-        for job in jobs:
-            results = job["results"]
-            if results is None:
-                lo, hi = job["span"]
-                estimator = job["estimator"]
-                results = [
-                    InferenceResult(
-                        method=estimator.name,
-                        kind=estimator.kind,
-                        values=r.loss_rates,
-                        raw=r,
-                    )
-                    for r in batch[lo:hi]
-                ]
-            evaluations.append(
-                scenario._score_results(
-                    job["spec"],
-                    job["num_training"],
-                    targets,
-                    results,
-                    prepared.routing,
-                    target_consumer,
-                )
-            )
-        scenario_results.append(
-            ScenarioResult(
-                scenario=scenario,
-                prepared=prepared,
-                campaign=campaign,
-                targets=targets,
-                evaluations=evaluations,
-            )
-        )
-    return scenario_results

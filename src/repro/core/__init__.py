@@ -11,7 +11,7 @@ from repro.core.augmented import (
     pair_from_row_index,
     pair_row_index,
 )
-from repro.core.engine import FactorizationCache, InferenceEngine, infer_many
+from repro.core.engine import FactorizationCache, InferenceEngine
 from repro.core.identifiability import (
     IdentifiabilityReport,
     audit_identifiability,
@@ -53,7 +53,6 @@ __all__ = [
     "augmented_rank",
     "estimate_link_variances",
     "has_identifiable_variances",
-    "infer_many",
     "intersecting_pairs",
     "num_pair_rows",
     "pair_from_row_index",

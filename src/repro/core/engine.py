@@ -11,11 +11,20 @@ every fig*/table* campaign.
 
 :class:`InferenceEngine` closes that gap.  It owns the cached
 :class:`~repro.core.augmented.IntersectingPairs`, memoizes phase-2
-reductions keyed by (variance vector, cutoff), and memoizes the thin QR
-factorization of ``R*`` keyed by the kept-column set
-(:class:`FactorizationCache`).  :meth:`InferenceEngine.infer_batch`
+reductions keyed by (variance vector, cutoff) (:class:`ReductionCache`),
+and memoizes the thin QR factorization of ``R*`` keyed by the
+kept-column set (:class:`FactorizationCache`); both hold at most
+:data:`CACHE_ENTRIES` entries.  :meth:`InferenceEngine.infer_batch`
 solves a whole window of snapshots as one multi-RHS triangular solve
 against a single factorization.
+
+One switch, ``incremental``, chooses how a cache miss is served.  Off
+(the default, every batch pipeline) a miss is always a cold reduction
+sweep and a fresh QR, so payloads are bit-identical to a cold engine.
+On (:class:`repro.monitor.OnlineLossMonitor`) a kept set within
+:data:`INCREMENTAL_COLUMNS` columns of a cached one is served by Givens
+downdates, CGS2 column adds and sweep-free reduction reuse, which agree
+with the cold path only to working precision.
 
 :class:`repro.core.lia.LossInferenceAlgorithm` is the user-facing wrapper
 bound to this engine; the delay and monitoring layers reuse the same
@@ -24,7 +33,6 @@ caches through it.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -35,12 +43,7 @@ from scipy import sparse
 
 from repro.core.augmented import IntersectingPairs, intersecting_pairs
 from repro.core.kernels import cgs2_project
-from repro.core.linalg import (
-    IncrementalColumnBasis,
-    QRFactorization,
-    solve_upper_triangular,
-)
-from repro.core.sparse_solvers import solve_normal_sparse
+from repro.core.linalg import IncrementalColumnBasis, QRFactorization
 from repro.core.reduction import (
     REDUCTION_STRATEGIES,
     ReductionResult,
@@ -53,6 +56,31 @@ from repro.core.variance import (
 )
 from repro.probing.snapshot import MeasurementCampaign, Snapshot
 from repro.topology.routing import RoutingMatrix
+
+#: Entries each engine cache keeps before evicting least-recently-used.
+CACHE_ENTRIES = 8
+
+#: With ``incremental`` on, the most kept-set columns a cache request may
+#: differ from a cached entry by and still be served incrementally.
+INCREMENTAL_COLUMNS = 2
+
+
+def _as_csc(matrix) -> sparse.csc_matrix:
+    """A float64 CSC copy of a dense or sparse matrix (cheap column slices)."""
+    if sparse.issparse(matrix):
+        return matrix.tocsc().astype(np.float64)
+    dense = np.asarray(matrix, dtype=np.float64)
+    if dense.ndim != 2:
+        raise ValueError("matrix must be two-dimensional")
+    return sparse.csc_matrix(dense)
+
+
+def _dense_column(csc: sparse.csc_matrix, index: int) -> np.ndarray:
+    """One dense column of a CSC matrix (for the incremental offers)."""
+    out = np.zeros(int(csc.shape[0]), dtype=np.float64)
+    start, end = csc.indptr[index], csc.indptr[index + 1]
+    out[csc.indices[start:end]] = csc.data[start:end]
+    return out
 
 
 @dataclass(frozen=True)
@@ -86,7 +114,7 @@ class CacheInfo:
     ``misses`` are the requests that paid full price.
     ``resident_bytes`` tracks the arrays the cache keeps alive (shared
     arrays between entries are counted once per entry, a deliberate
-    overcount that keeps the byte budget conservative).
+    overcount).
     """
 
     hits: int
@@ -108,58 +136,29 @@ class FactorizationCache:
     hands out :class:`~repro.core.linalg.QRFactorization` objects keyed
     by the kept-column index set.  Consecutive inferences with the same
     kept set — rolling-window monitoring, consecutive-snapshot
-    experiments, every batch — pay for one factorization total.
+    experiments, every batch — pay for one factorization total.  At most
+    :data:`CACHE_ENTRIES` factorizations stay cached.
 
-    With ``downdate_limit > 0``, a requested kept set that is a subset
-    of a cached one missing at most that many columns — the
+    With ``incremental`` on, a requested kept set that is a subset of a
+    cached one missing at most :data:`INCREMENTAL_COLUMNS` columns — the
     rolling-monitor pattern where a variance refresh exonerates a link
     or two — is served by *downdating* the cached factorization with
     Givens rotations
     (:meth:`~repro.core.linalg.QRFactorization.remove_column`) instead
     of refactorizing from scratch: O(m k) per removed column versus
-    O(m k^2) for a fresh QR.  ``update_limit > 0`` is the mirror-image
-    grow direction — a kept set that is a *superset* of a cached one is
-    served by CGS2 column adds
-    (:meth:`~repro.core.linalg.QRFactorization.add_column`) — covering
-    the congestion-churn pattern where links re-enter the kept set.
-    Updated/downdated factors equal a fresh QR only to working
-    precision, so both limits default to 0 (off) and long-lived
-    consumers (:class:`repro.monitor.OnlineLossMonitor`) opt in; batch
-    experiment pipelines stay bit-identical to a cold engine.
-
-    *max_bytes*, when set, bounds the bytes resident across cached
-    ``Q``/``R`` factors: least-recently-used entries are evicted past
-    either the entry or the byte budget (at least one entry always
-    stays, so the working set never thrashes to nothing).
+    O(m k^2) for a fresh QR.  The mirror-image grow direction — a kept
+    set that is a *superset* of a cached one — is served by CGS2 column
+    adds (:meth:`~repro.core.linalg.QRFactorization.add_column`),
+    covering the congestion-churn pattern where links re-enter the kept
+    set.  Updated/downdated factors equal a fresh QR only to working
+    precision, so ``incremental`` defaults to off and long-lived
+    consumers (:class:`repro.monitor.OnlineLossMonitor`) turn it on;
+    batch experiment pipelines stay bit-identical to a cold engine.
     """
 
-    def __init__(
-        self,
-        matrix,
-        max_entries: int = 8,
-        downdate_limit: int = 0,
-        update_limit: int = 0,
-        max_bytes: Optional[int] = None,
-    ) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be positive")
-        if downdate_limit < 0:
-            raise ValueError("downdate_limit must be non-negative")
-        if update_limit < 0:
-            raise ValueError("update_limit must be non-negative")
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError("max_bytes must be positive (or None)")
-        if sparse.issparse(matrix):
-            self._matrix = matrix.tocsc().astype(np.float64)
-        else:
-            dense = np.asarray(matrix, dtype=np.float64)
-            if dense.ndim != 2:
-                raise ValueError("matrix must be two-dimensional")
-            self._matrix = sparse.csc_matrix(dense)
-        self.max_entries = max_entries
-        self.downdate_limit = downdate_limit
-        self.update_limit = update_limit
-        self.max_bytes = max_bytes
+    def __init__(self, matrix, incremental: bool = False) -> None:
+        self._matrix = _as_csc(matrix)
+        self.incremental = incremental
         self._cache: "OrderedDict[bytes, QRFactorization]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -200,13 +199,6 @@ class FactorizationCache:
         kept = np.asarray(kept, dtype=np.int64)
         return np.asarray(self._matrix[:, kept].todense(), dtype=np.float64)
 
-    def column(self, index: int) -> np.ndarray:
-        """One dense matrix column (for incremental factorization adds)."""
-        out = np.zeros(self.num_rows, dtype=np.float64)
-        start, end = self._matrix.indptr[index], self._matrix.indptr[index + 1]
-        out[self._matrix.indices[start:end]] = self._matrix.data[start:end]
-        return out
-
     @staticmethod
     def _entry_bytes(factorization: QRFactorization) -> int:
         return int(factorization.q.nbytes + factorization.r.nbytes)
@@ -214,13 +206,7 @@ class FactorizationCache:
     def _store(self, key: bytes, factorization: QRFactorization) -> None:
         self._cache[key] = factorization
         self._resident_bytes += self._entry_bytes(factorization)
-        while len(self._cache) > 1 and (
-            len(self._cache) > self.max_entries
-            or (
-                self.max_bytes is not None
-                and self._resident_bytes > self.max_bytes
-            )
-        ):
+        while len(self._cache) > CACHE_ENTRIES:
             _, evicted = self._cache.popitem(last=False)
             self._resident_bytes -= self._entry_bytes(evicted)
             self.evictions += 1
@@ -256,18 +242,18 @@ class FactorizationCache:
 
         Scans most-recently-used first for a full-rank cached
         factorization whose column set contains *kept* with at most
-        ``downdate_limit`` extras; the best (fewest-extras) candidate is
-        shrunk column by column.  Returns ``None`` when no candidate
+        :data:`INCREMENTAL_COLUMNS` extras; the best (fewest-extras)
+        candidate is shrunk column by column.  Returns ``None`` when no candidate
         exists or the downdated factorization lost full rank (the caller
         then refactorizes from scratch).
         """
-        if self.downdate_limit == 0 or not len(self._cache):
+        if not self.incremental or not len(self._cache):
             return None
         wanted = set(int(c) for c in kept)
         best: Optional[QRFactorization] = None
         for candidate in reversed(self._cache.values()):
             extra = len(candidate.columns) - len(wanted)
-            if not 0 < extra <= self.downdate_limit:
+            if not 0 < extra <= INCREMENTAL_COLUMNS:
                 continue
             if best is not None and extra >= len(best.columns) - len(wanted):
                 continue
@@ -294,20 +280,20 @@ class FactorizationCache:
         The mirror image of :meth:`_downdate_from_superset`: scans
         most-recently-used first for a full-rank cached factorization
         whose column set is contained in *kept* missing at most
-        ``update_limit`` columns; the best (fewest-missing) candidate is
-        grown one CGS2 column offer at a time.  Returns ``None`` when no
+        :data:`INCREMENTAL_COLUMNS` columns; the best (fewest-missing)
+        candidate is grown one CGS2 column offer at a time.  Returns ``None`` when no
         candidate exists, a missing column turns out (numerically)
         dependent, or the grown column order cannot match *kept* — the
         caller then refactorizes from scratch.
         """
-        if self.update_limit == 0 or not len(self._cache):
+        if not self.incremental or not len(self._cache):
             return None
         wanted = tuple(int(c) for c in kept)
         wanted_set = set(wanted)
         best: Optional[QRFactorization] = None
         for candidate in reversed(self._cache.values()):
             missing = len(wanted) - len(candidate.columns)
-            if not 0 < missing <= self.update_limit:
+            if not 0 < missing <= INCREMENTAL_COLUMNS:
                 continue
             if best is not None and missing >= len(wanted) - len(best.columns):
                 continue
@@ -326,7 +312,7 @@ class FactorizationCache:
             )
             try:
                 factorization = factorization.add_column(
-                    self.column(column), column, position
+                    _dense_column(self._matrix, column), column, position
                 )
             except scipy_linalg.LinAlgError:
                 return None  # dependent column; fall back to a fresh QR
@@ -374,42 +360,30 @@ class ReductionCache:
 
     Keyed by (strategy, variance vector, cutoff): a rolling monitor — or
     any consumer re-inferring against one variance estimate — re-reduces
-    only when the estimate or a reduction knob actually changes.  Shared
-    by :class:`InferenceEngine` and the delay layer
+    only when the estimate or a reduction knob actually changes.  At most
+    :data:`CACHE_ENTRIES` reductions stay cached.  Shared by
+    :class:`InferenceEngine` and the delay layer
     (:class:`repro.delay.inference.DelayInferenceAlgorithm`), which used
     to reimplement the same memoized kept-column selection by hand.
 
-    With ``reuse_limit > 0`` the ``"threshold"`` strategy also reuses
+    With ``incremental`` on, the ``"threshold"`` strategy also reuses
     *across* variance vectors: a refresh whose above-cutoff candidate
     set matches a cached one reuses its sweep outright; a candidate set
-    that shrank by at most ``reuse_limit`` columns from a cached
-    all-accepted sweep keeps the remaining candidates without any sweep
-    (a subset of an independent set is independent); one that *grew* by
-    at most ``reuse_limit`` columns offers only the new columns against
-    the cached orthonormal basis — O(n_p k) per new link instead of the
-    O(n_p k^2) full basis sweep.  Near the 1e-9 independence tolerance
-    the offer order can differ from a cold sweep's, so reuse defaults to
-    0 (off) and only long-lived monitors opt in; batch pipelines stay
-    bit-identical.
+    that shrank by at most :data:`INCREMENTAL_COLUMNS` columns from a
+    cached all-accepted sweep keeps the remaining candidates without any
+    sweep (a subset of an independent set is independent); one that
+    *grew* by at most that many columns offers only the new columns
+    against the cached orthonormal basis — O(n_p k) per new link instead
+    of the O(n_p k^2) full basis sweep.  Near the 1e-9 independence
+    tolerance the offer order can differ from a cold sweep's, so
+    ``incremental`` defaults to off and only long-lived monitors turn it
+    on; batch pipelines stay bit-identical.
     """
 
-    def __init__(
-        self,
-        matrix,
-        max_entries: int = 8,
-        reuse_limit: int = 0,
-        max_bytes: Optional[int] = None,
-    ) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be positive")
-        if reuse_limit < 0:
-            raise ValueError("reuse_limit must be non-negative")
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError("max_bytes must be positive (or None)")
+    def __init__(self, matrix, incremental: bool = False) -> None:
         self._matrix = matrix
-        self.max_entries = max_entries
-        self.reuse_limit = reuse_limit
-        self.max_bytes = max_bytes
+        self._csc = _as_csc(matrix)
+        self.incremental = incremental
         self._cache: "OrderedDict[Tuple[str, bytes, Optional[float]], _ReductionEntry]" = (
             OrderedDict()
         )
@@ -440,13 +414,7 @@ class ReductionCache:
     def _store(self, key, entry: _ReductionEntry) -> None:
         self._cache[key] = entry
         self._resident_bytes += entry.nbytes
-        while len(self._cache) > 1 and (
-            len(self._cache) > self.max_entries
-            or (
-                self.max_bytes is not None
-                and self._resident_bytes > self.max_bytes
-            )
-        ):
+        while len(self._cache) > CACHE_ENTRIES:
             _, evicted = self._cache.popitem(last=False)
             self._resident_bytes -= evicted.nbytes
             self.evictions += 1
@@ -467,7 +435,7 @@ class ReductionCache:
             return cached.result
         entry = None
         if (
-            self.reuse_limit
+            self.incremental
             and strategy == "threshold"
             and variance_cutoff is not None
             and variance_cutoff > 0
@@ -528,7 +496,7 @@ class ReductionCache:
         basis = IncrementalColumnBasis(dimension=num_rows)
         kept: List[int] = []
         for col in candidates:
-            if basis.try_add(self._column(int(col))):
+            if basis.try_add(_dense_column(self._csc, int(col))):
                 kept.append(int(col))
         all_accepted = len(kept) == len(candidates)
         return _ReductionEntry(
@@ -552,7 +520,7 @@ class ReductionCache:
                 continue
             entry_set = set(int(c) for c in entry.candidates)
             shrunk = len(entry_set) - len(cand_set)
-            if 0 < shrunk <= self.reuse_limit and cand_set <= entry_set:
+            if 0 < shrunk <= INCREMENTAL_COLUMNS and cand_set <= entry_set:
                 # A subset of an independent set is independent: every
                 # candidate survives the sweep without running it.  (The
                 # subset's basis is not cheaply derivable, so grow reuse
@@ -565,7 +533,7 @@ class ReductionCache:
                 )
             grown = len(cand_set) - len(entry_set)
             if (
-                0 < grown <= self.reuse_limit
+                0 < grown <= INCREMENTAL_COLUMNS
                 and entry.basis is not None
                 and entry_set <= cand_set
             ):
@@ -592,7 +560,7 @@ class ReductionCache:
         )
         storage[:, :rank] = basis_cols
         for column in extras:
-            col = self._column(column)
+            col = _dense_column(self._csc, column)
             norm0 = float(np.linalg.norm(col))
             if norm0 == 0.0:
                 return None
@@ -609,42 +577,17 @@ class ReductionCache:
             basis=storage,
         )
 
-    def _column(self, index: int) -> np.ndarray:
-        """One dense routing-matrix column (for the incremental offers)."""
-        matrix = self._csc
-        out = np.zeros(int(matrix.shape[0]), dtype=np.float64)
-        start, end = matrix.indptr[index], matrix.indptr[index + 1]
-        out[matrix.indices[start:end]] = matrix.data[start:end]
-        return out
-
-    @property
-    def _csc(self):
-        csc = getattr(self, "_csc_matrix", None)
-        if csc is None:
-            if sparse.issparse(self._matrix):
-                csc = self._matrix.tocsc().astype(np.float64)
-            else:
-                csc = sparse.csc_matrix(
-                    np.asarray(self._matrix, dtype=np.float64)
-                )
-            self._csc_matrix = csc
-        return csc
-
 
 class InferenceEngine:
     """LIA phases 1+2 with every reusable intermediate cached.
 
     Parameters mirror :class:`repro.core.lia.LossInferenceAlgorithm`
     (which delegates here); see its docstring for the statistical
-    meaning of each knob.  *max_cached_factorizations* bounds the
-    kept-column-set LRU; the reduction memo is bounded to the same size.
-
-    *downdate_limit* / *update_limit* / *reduction_reuse_limit* enable
-    the incremental cache paths (Givens downdates, CGS2 column adds,
-    sweep-free reduction reuse) for kept-set changes of at most that
-    many columns; all default to 0 (off) so batch pipelines stay
-    bit-identical, and :class:`repro.monitor.OnlineLossMonitor` opts in.
-    *max_cache_bytes* byte-bounds each cache's resident arrays.
+    meaning of each knob.  *incremental* turns on the incremental paths
+    of both caches (Givens downdates, CGS2 column adds, sweep-free
+    reduction reuse); it is off by default so batch pipelines stay
+    bit-identical, and :class:`repro.monitor.OnlineLossMonitor` turns it
+    on.
     """
 
     def __init__(
@@ -656,11 +599,7 @@ class InferenceEngine:
         floor: Optional[float] = None,
         congestion_threshold: float = 0.002,
         cutoff_scale: float = 16.0,
-        max_cached_factorizations: int = 8,
-        downdate_limit: int = 0,
-        update_limit: int = 0,
-        reduction_reuse_limit: int = 0,
-        max_cache_bytes: Optional[int] = None,
+        incremental: bool = False,
     ) -> None:
         if variance_method not in VARIANCE_METHODS:
             raise ValueError(f"unknown variance method {variance_method!r}")
@@ -680,17 +619,10 @@ class InferenceEngine:
         self._pairs: Optional[IntersectingPairs] = None
         self._routing_sparse = routing.to_sparse()
         self._factorizations = FactorizationCache(
-            self._routing_sparse,
-            max_entries=max_cached_factorizations,
-            downdate_limit=downdate_limit,
-            update_limit=update_limit,
-            max_bytes=max_cache_bytes,
+            self._routing_sparse, incremental=incremental
         )
         self._reductions = ReductionCache(
-            self._routing_sparse,
-            max_entries=max_cached_factorizations,
-            reuse_limit=reduction_reuse_limit,
-            max_bytes=max_cache_bytes,
+            self._routing_sparse, incremental=incremental
         )
 
     # -- cached structures ----------------------------------------------------
@@ -872,339 +804,3 @@ class InferenceEngine:
         training, target = campaign.split_training_target(num_training)
         estimate = self.learn_variances(training)
         return self.infer(target, estimate)
-
-    @staticmethod
-    def infer_many(
-        runs: Sequence[Tuple["InferenceEngine", Snapshot, VarianceEstimate]],
-        mode: str = "auto",
-    ) -> List[LIAResult]:
-        """Batched inference across many independent trees; see the
-        module-level :func:`infer_many`."""
-        return infer_many(runs, mode=mode)
-
-
-#: Valid *mode* values for :func:`infer_many`.
-INFER_MANY_MODES = ("auto", "loop", "packed", "sparse")
-
-#: How many distinct forests keep a cached :class:`_ForestPlan` alive.
-FOREST_PLAN_LIMIT = 4
-
-#: Guards the plan LRU and its byte counter: the ``thread`` execution
-#: backend runs trials concurrently in one process, so plan lookups,
-#: insertions and evictions from different trials interleave.
-_FOREST_PLAN_LOCK = threading.Lock()
-_forest_plans: "OrderedDict[Tuple, _ForestPlan]" = OrderedDict()
-_forest_plan_max_bytes: Optional[int] = None
-_forest_plan_bytes = 0
-
-
-def set_forest_plan_budget(max_bytes: Optional[int]) -> None:
-    """Byte-bound the forest-plan LRU (None removes the bound).
-
-    Complements :data:`FOREST_PLAN_LIMIT` the way the engine caches'
-    ``max_bytes`` complements their entry counts: whichever bound is hit
-    first evicts least-recently-used plans (the current plan always
-    survives).  Takes effect on the next :func:`infer_many` call.
-    """
-    global _forest_plan_max_bytes
-    if max_bytes is not None and max_bytes < 1:
-        raise ValueError("max_bytes must be positive (or None)")
-    with _FOREST_PLAN_LOCK:
-        _forest_plan_max_bytes = max_bytes
-
-
-def invalidate_forest_plans() -> None:
-    """Drop every cached forest plan (releases engine/estimate refs).
-
-    Needed only if an engine's knobs (``floor`` is keyed, the others are
-    not) or an estimate's variance array were mutated *in place* after a
-    packed :func:`infer_many` call — identity-keyed plans cannot see
-    in-place mutation.  Fresh objects get fresh plans automatically.
-    """
-    global _forest_plan_bytes
-    with _FOREST_PLAN_LOCK:
-        _forest_plans.clear()
-        _forest_plan_bytes = 0
-
-
-class _ForestPlan:
-    """Per-tree solve state for one forest, reusable across windows.
-
-    ``infer_many``'s packed mode re-infers the *same* trees (engines and
-    variance estimates) for window after window of snapshots; everything
-    except the measured rates — the memoized reduction, the (full-rank)
-    thin-QR factors, the scatter indices into the flat output buffer,
-    the continuity-floor vector — is snapshot-independent.  Resolving it
-    per call costs more Python time than the solves themselves, so the
-    plan resolves it once and the warm path is reduced to one fused
-    clip+log, one ``Q^T y`` + ``trtrs`` pair per tree, and one fused
-    clip+exp.
-
-    The plan holds strong references to its engines and estimates: that
-    both keeps the factorizations it resolved coherent with the engine
-    caches and pins the object ids the plan-cache key is built from.
-    """
-
-    __slots__ = (
-        "engines",
-        "estimates",
-        "reductions",
-        "offsets",
-        "path_counts",
-        "path_offsets",
-        "floors_expanded",
-        "solves",
-        "total_links",
-        "nbytes",
-    )
-
-    def __init__(
-        self,
-        runs: Sequence[Tuple["InferenceEngine", Snapshot, VarianceEstimate]],
-    ) -> None:
-        self.engines = [eng for eng, _, _ in runs]
-        self.estimates = [est for _, _, est in runs]
-        n = len(runs)
-        self.reductions: List[ReductionResult] = []
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        path_counts = np.empty(n, dtype=np.int64)
-        floors = np.empty(n, dtype=np.float64)
-        for i, (eng, snap, est) in enumerate(runs):
-            self.reductions.append(eng.reduce(est, snap.num_probes))
-            offsets[i + 1] = offsets[i] + eng.routing.num_links
-            path_counts[i] = snap.path_transmission.shape[0]
-            floor = (
-                eng.floor
-                if eng.floor is not None
-                else 0.5 / float(snap.num_probes)
-            )
-            if not 0 < floor <= 1:
-                raise ValueError(f"floor must be in (0, 1], got {floor}")
-            floors[i] = floor
-        self.offsets = offsets
-        self.path_counts = path_counts
-        path_offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(path_counts, out=path_offsets[1:])
-        self.path_offsets = path_offsets
-        self.floors_expanded = np.repeat(floors, path_counts)
-        self.total_links = int(offsets[-1])
-        # One entry per tree with a non-empty kept set:
-        # (p0, p1, scatter, r, q_t, block) — r/q_t for the full-rank
-        # triangular path, block for the lstsq fallback.
-        self.solves: List[Tuple] = []
-        for i, (eng, snap, est) in enumerate(runs):
-            kept = self.reductions[i].kept_columns
-            if len(kept) == 0:
-                continue
-            p0, p1 = int(path_offsets[i]), int(path_offsets[i + 1])
-            scatter = offsets[i] + np.asarray(kept, dtype=np.int64)
-            factorization = eng._factorizations.factorization(kept)
-            if factorization.full_rank:
-                self.solves.append(
-                    (p0, p1, scatter, factorization.r, factorization.q.T, None)
-                )
-            else:
-                self.solves.append(
-                    (p0, p1, scatter, None, None, eng._factorizations.block(kept))
-                )
-        # Arrays this plan keeps alive (the r/q_t views are shared with
-        # the engine caches; counting them here keeps the plan budget
-        # conservative), for the byte-bounded plan LRU.
-        total = (
-            self.offsets.nbytes
-            + self.path_counts.nbytes
-            + self.path_offsets.nbytes
-            + self.floors_expanded.nbytes
-        )
-        for _, _, scatter, r, q_t, block in self.solves:
-            total += scatter.nbytes
-            if r is not None:
-                total += r.nbytes + q_t.nbytes
-            else:
-                total += block.nbytes
-        self.nbytes = int(total)
-
-    def log_rates(
-        self,
-        runs: Sequence[Tuple["InferenceEngine", Snapshot, VarianceEstimate]],
-    ) -> np.ndarray:
-        """One fused clip+log over every tree's measured path rates.
-
-        Elementwise ufuncs are batching-invariant, so each slice is
-        bit-identical to the tree's own ``snapshot.path_log_rates``.
-        """
-        rates = np.concatenate(
-            [snap.path_transmission for _, snap, _ in runs]
-        )
-        return np.log(np.clip(rates, self.floors_expanded, 1.0))
-
-    def solve(self, log_concat: np.ndarray) -> np.ndarray:
-        """Embedded, clipped solutions for all trees in one flat buffer."""
-        flat = np.zeros(self.total_links, dtype=np.float64)
-        for p0, p1, scatter, r, q_t, block in self.solves:
-            y = log_concat[p0:p1]
-            if r is not None:
-                flat[scatter] = solve_upper_triangular(r, q_t @ y)
-            else:
-                x_star, *_ = np.linalg.lstsq(block, y, rcond=None)
-                flat[scatter] = x_star
-        np.minimum(flat, 0.0, out=flat)
-        return flat
-
-    def results(self, rates: np.ndarray) -> List[LIAResult]:
-        offsets = self.offsets
-        return [
-            LIAResult(
-                transmission_rates=rates[offsets[i] : offsets[i + 1]],
-                variance_estimate=self.estimates[i],
-                reduction=self.reductions[i],
-            )
-            for i in range(len(self.estimates))
-        ]
-
-
-def _forest_plan(
-    runs: Sequence[Tuple["InferenceEngine", Snapshot, VarianceEstimate]],
-) -> "_ForestPlan":
-    """The (cached) plan for this forest.
-
-    Keyed by per-tree (engine id, estimate id, probe count, floor knob);
-    the cached plan's strong references keep those ids from being
-    reused, which is what makes identity keying sound.  Engines with
-    factorization downdating or updating enabled get a fresh plan every
-    call — their factorization cache is history-dependent, and a stored
-    plan could disagree with what a plain loop would see.
-    """
-    global _forest_plan_bytes
-    if any(
-        eng._factorizations.downdate_limit or eng._factorizations.update_limit
-        for eng, _, _ in runs
-    ):
-        return _ForestPlan(runs)
-    key = tuple(
-        (id(eng), id(est), snap.num_probes, eng.floor)
-        for eng, snap, est in runs
-    )
-    with _FOREST_PLAN_LOCK:
-        plan = _forest_plans.get(key)
-        if plan is not None:
-            if np.array_equal(
-                plan.path_counts,
-                np.fromiter(
-                    (snap.path_transmission.shape[0] for _, snap, _ in runs),
-                    dtype=np.int64,
-                    count=len(runs),
-                ),
-            ):
-                _forest_plans.move_to_end(key)
-                return plan
-            del _forest_plans[key]
-            _forest_plan_bytes -= plan.nbytes
-    # Resolve the plan outside the lock — it walks every tree's
-    # reduction and factorization, and other threads' forests should
-    # not wait on that.  A racing thread building the same key would
-    # have to share these engine objects, which are not thread-safe to
-    # begin with; last insert simply wins.
-    plan = _ForestPlan(runs)
-    with _FOREST_PLAN_LOCK:
-        displaced = _forest_plans.get(key)
-        if displaced is not None:
-            _forest_plan_bytes -= displaced.nbytes
-        _forest_plans[key] = plan
-        _forest_plan_bytes += plan.nbytes
-        while len(_forest_plans) > 1 and (
-            len(_forest_plans) > FOREST_PLAN_LIMIT
-            or (
-                _forest_plan_max_bytes is not None
-                and _forest_plan_bytes > _forest_plan_max_bytes
-            )
-        ):
-            _, evicted = _forest_plans.popitem(last=False)
-            _forest_plan_bytes -= evicted.nbytes
-    return plan
-
-
-def infer_many(
-    runs: Sequence[Tuple[InferenceEngine, Snapshot, VarianceEstimate]],
-    mode: str = "auto",
-) -> List[LIAResult]:
-    """Infer many *independent trees* — (engine, snapshot, estimate)
-    triples — as one batched operation instead of a Python loop.
-
-    A campaign grid point often evaluates hundreds of small trees, each
-    with its own :class:`InferenceEngine`; looping ``engine.infer`` pays
-    Python dispatch, ufunc launch, and small-allocation overhead per
-    tree that dwarfs the tree's actual FLOPs.  Modes:
-
-    ``"loop"``
-        the reference: literally ``engine.infer`` per tree.
-    ``"packed"`` (what ``"auto"`` selects)
-        one pass issuing the identical per-tree BLAS/LAPACK calls
-        (``Q^T y`` then the LAPACK ``trtrs`` the factorization's own
-        ``solve`` uses) with everything batchable hoisted out of the
-        loop: the embedded solutions land in one flat buffer so the
-        negative-clip and the final ``exp`` run as *one* ufunc call over
-        all trees.  Elementwise ufuncs are batching-invariant, so the
-        results match ``"loop"`` **to the byte** (pinned by
-        ``tests/test_engine.py``).
-    ``"sparse"``
-        assembles every tree's kept-column block into one block-diagonal
-        sparse system and solves it in a single
-        :func:`~repro.core.sparse_solvers.solve_normal_sparse` call —
-        the scale path for thousands of tiny trees, where even the
-        packed loop's per-tree factorization bookkeeping dominates.
-        Agrees with ``"loop"`` to solver precision (~1e-9 relative), not
-        bitwise, so experiments default to ``"packed"``.
-
-    All modes share each engine's reduction/factorization caches, so
-    repeated windows against the same trees stay warm.
-    """
-    if mode not in INFER_MANY_MODES:
-        raise ValueError(
-            f"unknown infer_many mode {mode!r}; "
-            f"choose one of {', '.join(INFER_MANY_MODES)}"
-        )
-    runs = list(runs)
-    if mode == "loop":
-        return [eng.infer(snap, est) for eng, snap, est in runs]
-    if not runs:
-        return []
-    if mode == "auto":
-        mode = "packed"
-
-    plan = _forest_plan(runs)
-    log_concat = plan.log_rates(runs)
-
-    if mode == "packed":
-        flat = plan.solve(log_concat)
-    else:  # mode == "sparse"
-        flat = np.zeros(plan.total_links, dtype=np.float64)
-        blocks = []
-        stacked_rhs = []
-        spans: List[Tuple[int, np.ndarray, int]] = []  # (run idx, kept, k)
-        for index, (eng, snap, est) in enumerate(runs):
-            kept = plan.reductions[index].kept_columns
-            if len(kept) == 0:
-                continue
-            blocks.append(eng._factorizations.block(kept))
-            stacked_rhs.append(
-                log_concat[
-                    plan.path_offsets[index] : plan.path_offsets[index + 1]
-                ]
-            )
-            spans.append((index, np.asarray(kept, dtype=np.int64), len(kept)))
-        if blocks:
-            system = sparse.block_diag(blocks, format="csr")
-            solution = solve_normal_sparse(system, np.concatenate(stacked_rhs))
-            start = 0
-            for index, kept, width in spans:
-                flat[plan.offsets[index] + kept] = (
-                    solution[start : start + width]
-                )
-                start += width
-        np.minimum(flat, 0.0, out=flat)
-
-    # One exp over every tree at once: elementwise, so each entry is
-    # bit-identical to the per-tree np.exp the loop mode applies (the
-    # never-kept entries stay exp(0) = 1).
-    return plan.results(np.exp(flat))

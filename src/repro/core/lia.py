@@ -13,40 +13,21 @@ which caches everything reusable across snapshots: the intersecting-pairs
 structure (the expensive once-per-network computation of A), the phase-2
 reduction per variance estimate, and the QR factorization of ``R*`` per
 kept-column set.  This class is the user-facing binding of one engine to
-one routing matrix, mirroring the paper's presentation.
+one routing matrix, mirroring the paper's presentation; its one cache
+setting, ``incremental``, is forwarded to the engine.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.core.augmented import IntersectingPairs
 from repro.core.engine import InferenceEngine, LIAResult
-from repro.core.engine import infer_many as _engine_infer_many
 from repro.core.variance import VarianceEstimate
 from repro.probing.snapshot import MeasurementCampaign, Snapshot
 from repro.topology.routing import RoutingMatrix
 
-__all__ = ["LIAResult", "LossInferenceAlgorithm", "infer_many"]
-
-
-def infer_many(
-    runs: Sequence[
-        Tuple["LossInferenceAlgorithm", Snapshot, VarianceEstimate]
-    ],
-    mode: str = "auto",
-) -> List[LIAResult]:
-    """Batched inference across many independent trees' LIA instances.
-
-    The wrapper-level face of :func:`repro.core.engine.infer_many`: each
-    run is one (algorithm, snapshot, estimate) triple for a *different*
-    tree, and the batch is solved without a Python loop over trees (see
-    the engine function for the mode semantics and the byte-identity
-    guarantee of the default packed mode).
-    """
-    return _engine_infer_many(
-        [(alg.engine, snap, est) for alg, snap, est in runs], mode=mode
-    )
+__all__ = ["LIAResult", "LossInferenceAlgorithm"]
 
 
 class LossInferenceAlgorithm:
@@ -74,11 +55,11 @@ class LossInferenceAlgorithm:
         Drop negative sample-covariance equations (paper behaviour).
     floor:
         Continuity floor for log transforms (default ``0.5 / S``).
-    downdate_limit, update_limit, reduction_reuse_limit, max_cache_bytes:
-        Incremental-cache knobs forwarded to
-        :class:`~repro.core.engine.InferenceEngine`; all off by default
-        so batch pipelines stay bit-identical (the online monitor opts
-        in).
+    incremental:
+        Serve near-miss kept sets from the engine caches by incremental
+        updates (see :class:`~repro.core.engine.InferenceEngine`); off by
+        default so batch pipelines stay bit-identical (the online monitor
+        turns it on).
     """
 
     def __init__(
@@ -90,10 +71,7 @@ class LossInferenceAlgorithm:
         floor: Optional[float] = None,
         congestion_threshold: float = 0.002,
         cutoff_scale: float = 16.0,
-        downdate_limit: int = 0,
-        update_limit: int = 0,
-        reduction_reuse_limit: int = 0,
-        max_cache_bytes: Optional[int] = None,
+        incremental: bool = False,
     ) -> None:
         self.engine = InferenceEngine(
             routing,
@@ -103,10 +81,7 @@ class LossInferenceAlgorithm:
             floor=floor,
             congestion_threshold=congestion_threshold,
             cutoff_scale=cutoff_scale,
-            downdate_limit=downdate_limit,
-            update_limit=update_limit,
-            reduction_reuse_limit=reduction_reuse_limit,
-            max_cache_bytes=max_cache_bytes,
+            incremental=incremental,
         )
 
     # The statistical knobs stay readable on the wrapper.

@@ -53,9 +53,9 @@ def solve_upper_triangular(r: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``r x = b`` (upper triangular) straight through LAPACK ``trtrs``.
 
     Bit-identical to ``scipy.linalg.solve_triangular(r, b, lower=False)``
-    while skipping ~10x of per-call wrapper overhead — the batched
-    ``infer_many`` path issues one of these per tree, so the constant
-    matters.  scipy avoids copying a C-contiguous matrix into Fortran
+    while skipping ~10x of per-call wrapper overhead —
+    :meth:`QRFactorization.solve` issues one of these on every
+    inference, so on small trees the constant matters.  scipy avoids copying a C-contiguous matrix into Fortran
     order by solving the transposed system (``trtrs(r.T, b, lower=True,
     trans=True)``); mirroring that dispatch exactly is what makes the
     results identical to the last bit, not just to precision.
@@ -249,9 +249,9 @@ class QRFactorization:
         """:meth:`is_full_rank` at the default tolerance, computed once.
 
         The factorization is frozen, so the verdict never changes; the
-        engine consults it on *every* solve, which made the four numpy
-        reductions inside :meth:`is_full_rank` the single largest cost
-        of a warm small-tree inference (~40% of ``infer_many``).
+        engine consults it before *every* :meth:`solve`, and the four
+        numpy reductions inside :meth:`is_full_rank` would otherwise be
+        the single largest cost of a warm small-tree inference.
         """
         return self.is_full_rank()
 

@@ -143,6 +143,11 @@ class DelayInferenceAlgorithm:
         self, snapshot: DelaySnapshot, estimate: DelayVarianceEstimate
     ) -> DelayInferenceResult:
         """Attribute this snapshot's path-delay deviations to links."""
+        if snapshot.num_paths != self.routing.num_paths:
+            raise ValueError(
+                f"snapshot has {snapshot.num_paths} paths, but the routing "
+                f"matrix has {self.routing.num_paths}"
+            )
         if estimate.num_links != self.routing.num_links:
             raise ValueError("estimate does not match routing matrix")
         kept = self._kept_columns(estimate)

@@ -30,8 +30,10 @@ class DelaySnapshot:
 
     def __post_init__(self) -> None:
         delays = np.asarray(self.path_delays, dtype=np.float64)
-        if delays.ndim != 1 or (delays < 0).any():
-            raise ValueError("path delays must be a non-negative vector")
+        if delays.ndim != 1 or not (np.isfinite(delays) & (delays >= 0)).all():
+            raise ValueError(
+                "path delays must be a vector of finite, non-negative values"
+            )
         object.__setattr__(self, "path_delays", delays)
         if self.num_probes <= 0:
             raise ValueError("num_probes must be positive")

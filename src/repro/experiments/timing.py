@@ -24,7 +24,7 @@ import time
 from typing import Optional
 
 from repro.core.augmented import intersecting_pairs
-from repro.core.lia import LossInferenceAlgorithm, infer_many
+from repro.core.lia import LossInferenceAlgorithm
 from repro.core.reduction import reduce_to_full_rank, solve_reduced_system
 from repro.experiments.base import (
     ExperimentResult,
@@ -86,42 +86,6 @@ def trial(spec: TrialSpec) -> dict:
     lia.infer(target, estimate)
     t_infer_warm = time.perf_counter() - t0
 
-    # Forest stage: the campaign-scale shape is many *small* independent
-    # trees inferred per round.  Time a Python loop of engine.infer
-    # against the block-diagonal batched solve (infer_many's packed
-    # mode, bit-identical output).  One untimed pass first so both
-    # measurements run against warm reduction/factorization caches.
-    num_trees = {"tiny": 16, "small": 64, "paper": 256}.get(
-        spec.params["scale"], 64
-    )
-    forest_runs = []
-    for i in range(num_trees):
-        tree = prepare_topology(
-            "tree", params.sized(tree_nodes=31), derive_seed(seed, 100 + i)
-        )
-        tree_simulator = ProbingSimulator(
-            tree.paths,
-            tree.topology.network.num_links,
-            config=ProberConfig(probes_per_snapshot=params.probes),
-        )
-        tree_campaign = tree_simulator.run_campaign(
-            params.snapshots + 1, tree.routing, seed=derive_seed(seed, 1000 + i)
-        )
-        tree_training, tree_target = tree_campaign.split_training_target()
-        algorithm = LossInferenceAlgorithm(tree.routing)
-        forest_runs.append(
-            (algorithm, tree_target, algorithm.learn_variances(tree_training))
-        )
-    infer_many(forest_runs, mode="loop")  # warm the per-tree caches
-
-    t0 = time.perf_counter()
-    infer_many(forest_runs, mode="loop")
-    t_forest_loop = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    infer_many(forest_runs)
-    t_forest_batched = time.perf_counter() - t0
-
     cache_info = {
         name: info.as_dict() for name, info in lia.engine.cache_info().items()
     }
@@ -134,9 +98,6 @@ def trial(spec: TrialSpec) -> dict:
         "phase2_solve": t_phase2_solve,
         "infer": t_infer,
         "infer_warm": t_infer_warm,
-        "forest_loop": t_forest_loop,
-        "forest_batched": t_forest_batched,
-        "forest_trees": num_trees,
         "num_paths": prepared.routing.num_paths,
         "num_links": prepared.routing.num_links,
     }
@@ -163,11 +124,6 @@ def run(
     table.add_row(["per-snapshot inference total", payload["infer"]])
     table.add_row(
         ["per-snapshot inference (warm engine)", payload["infer_warm"]]
-    )
-    trees = payload["forest_trees"]
-    table.add_row([f"forest: {trees}-tree loop (warm)", payload["forest_loop"]])
-    table.add_row(
-        [f"forest: {trees}-tree batched solve", payload["forest_batched"]]
     )
 
     cache_table = TextTable(
@@ -213,9 +169,6 @@ def run(
             "phase2_solve": payload["phase2_solve"],
             "infer": payload["infer"],
             "infer_warm": payload["infer_warm"],
-            "forest_loop": payload["forest_loop"],
-            "forest_batched": payload["forest_batched"],
-            "forest_trees": payload["forest_trees"],
         },
     )
     result.notes.append(

@@ -16,12 +16,13 @@ running service that sentence implies:
   :class:`~repro.core.engine.InferenceEngine` underneath memoizes the
   phase-2 reduction per estimate and the ``R*`` factorization per
   kept-column set, so between variance refreshes each localisation is a
-  pair of triangular solves.  A refresh that *shrinks* the kept set by
-  at most ``downdate_limit`` columns — a watched link clearing —
-  Givens-downdates the cached factorization
+  pair of triangular solves.  The monitor runs its engine with
+  ``incremental`` on: a refresh that *shrinks* the kept set by at most
+  :data:`~repro.core.engine.INCREMENTAL_COLUMNS` columns — a watched
+  link clearing — Givens-downdates the cached factorization
   (:meth:`~repro.core.linalg.QRFactorization.remove_column`); one that
-  *grows* it by at most ``update_limit`` columns — congestion churn
-  re-flagging links — CGS2-updates it
+  *grows* it by at most that many — congestion churn re-flagging links
+  — CGS2-updates it
   (:meth:`~repro.core.linalg.QRFactorization.add_column`) and reuses
   the phase-2 basis sweep, so neither direction refactorizes from
   scratch (see :meth:`OnlineLossMonitor.cache_info`);
@@ -31,8 +32,9 @@ running service that sentence implies:
 * per-link congestion state is tracked across snapshots, emitting
   ``onset`` / ``cleared`` events with durations — the Section 7.2.2
   run-length analysis as a live signal;
-* ``max_cache_bytes`` byte-bounds the engine caches so monitor state
-  stays bounded over days of traffic.
+* both engine caches are entry-bounded LRUs
+  (:data:`~repro.core.engine.CACHE_ENTRIES`), so monitor state stays
+  bounded over days of traffic.
 """
 
 from __future__ import annotations
@@ -185,16 +187,6 @@ class OnlineLossMonitor:
     localize_always:
         Run LIA on every snapshot instead of only on screened ones
         (costlier, catches sub-threshold drift).
-    downdate_limit, update_limit:
-        How many kept-set columns a variance refresh may remove / add
-        while still reusing the cached ``R*`` factorization (Givens
-        downdates / CGS2 column adds) and, for updates, the phase-2
-        basis sweep.  Larger limits absorb heavier congestion churn at
-        the cost of longer update chains; 0 disables that direction.
-    max_cache_bytes:
-        Byte bound on each engine cache's resident arrays (``None``:
-        entry-count bounds only) so monitor state stays bounded over
-        days of traffic.
     incremental_variance:
         Maintain rolling sufficient statistics so a variance refresh
         re-solves from O(pairs) running moments instead of re-reading
@@ -211,9 +203,6 @@ class OnlineLossMonitor:
         congestion_threshold: float = 0.002,
         z_threshold: float = 4.0,
         localize_always: bool = False,
-        downdate_limit: int = 2,
-        update_limit: int = 2,
-        max_cache_bytes: Optional[int] = None,
         incremental_variance: bool = True,
     ) -> None:
         if window < 2:
@@ -222,8 +211,6 @@ class OnlineLossMonitor:
             raise ValueError("refresh_interval must be at least 1")
         if z_threshold <= 0:
             raise ValueError("z_threshold must be positive")
-        if downdate_limit < 0 or update_limit < 0:
-            raise ValueError("cache update limits must be non-negative")
         self.routing = routing
         self.window = window
         self.refresh_interval = refresh_interval
@@ -232,7 +219,7 @@ class OnlineLossMonitor:
         self.localize_always = localize_always
         self.incremental_variance = incremental_variance
 
-        # Long-lived monitors opt into the incremental cache paths: a
+        # Long-lived monitors turn on the incremental cache paths: a
         # refresh that exonerates or re-flags a link or two reuses the
         # cached R* factorization (and the phase-2 basis sweep) instead
         # of refactorizing.  (Off by default in the engine so batch
@@ -240,10 +227,7 @@ class OnlineLossMonitor:
         self._lia = LossInferenceAlgorithm(
             routing,
             congestion_threshold=congestion_threshold,
-            downdate_limit=downdate_limit,
-            update_limit=update_limit,
-            reduction_reuse_limit=max(downdate_limit, update_limit),
-            max_cache_bytes=max_cache_bytes,
+            incremental=True,
         )
         self._history: Deque[Snapshot] = deque(maxlen=window)
         self._log_history: Deque[np.ndarray] = deque(maxlen=window)
@@ -274,9 +258,10 @@ class OnlineLossMonitor:
         """Refreshes absorbed by a Givens downdate instead of a fresh QR.
 
         Incremented when a variance refresh shrank the kept-column set
-        within ``downdate_limit`` and the engine reused the previous
-        ``R*`` factorization via column-removal downdates.  (One counter
-        of the fuller :meth:`cache_info` picture.)
+        by at most :data:`~repro.core.engine.INCREMENTAL_COLUMNS` columns
+        and the engine reused the previous ``R*`` factorization via
+        column-removal downdates.  (One counter of the fuller
+        :meth:`cache_info` picture.)
         """
         return self.engine.factorization_cache.downdates
 
@@ -304,7 +289,10 @@ class OnlineLossMonitor:
     def observe(self, snapshot: Snapshot) -> MonitorReport:
         """Feed one snapshot; returns screening + localisation outcome."""
         if snapshot.num_paths != self.routing.num_paths:
-            raise ValueError("snapshot does not match routing matrix")
+            raise ValueError(
+                f"snapshot has {snapshot.num_paths} paths, but the routing "
+                f"matrix has {self.routing.num_paths}"
+            )
         self._time += 1
         anomalous = self._screen(snapshot)
         report = MonitorReport(

@@ -25,7 +25,6 @@ from repro.api import (
     NotFittedError,
     Scenario,
     available,
-    evaluate_forest,
     from_spec,
     get,
     register,
@@ -465,103 +464,3 @@ class TestScenarioSpec:
             Scenario.from_spec({"model": "nope"})
         with pytest.raises(ValueError, match="unknown loss process"):
             Scenario.from_spec({"process": {"kind": "laplace"}})
-
-
-class TestEvaluateForest:
-    """Forest-batched evaluation equals the sequential Scenario loop."""
-
-    def _forest(self, num_trees=6, estimators=None, **overrides):
-        params = scale_params("tiny")
-        overrides.setdefault("num_training", 6)
-        runs = []
-        for i in range(num_trees):
-            scenario = Scenario(
-                topology="tree",
-                params=params,
-                prober=ProberConfig(
-                    probes_per_snapshot=params.probes,
-                    congestion_probability=0.12,
-                ),
-                model=LLRD1,
-                estimators=estimators
-                or (
-                    EstimatorSpec("lia"),
-                    EstimatorSpec("scfs", {"link_threshold": LLRD1.threshold}),
-                ),
-                **overrides,
-            )
-            seed = 700 + i
-            prepared = scenario.prepare(seed)
-            campaign = scenario.simulate(prepared, seed)
-            runs.append((scenario, prepared, campaign))
-        return runs
-
-    @staticmethod
-    def _assert_results_equal(batched, sequential):
-        assert len(batched) == len(sequential)
-        for got, want in zip(batched, sequential):
-            assert len(got.targets) == len(want.targets)
-            assert len(got.evaluations) == len(want.evaluations)
-            for ge, we in zip(got.evaluations, want.evaluations):
-                assert ge.label == we.label
-                assert ge.num_training == we.num_training
-                assert len(ge.results) == len(we.results)
-                for gr, wr in zip(ge.results, we.results):
-                    assert gr.method == wr.method and gr.kind == wr.kind
-                    np.testing.assert_array_equal(gr.values, wr.values)
-                assert repr(ge.detections) == repr(we.detections)
-                assert repr(ge.accuracy) == repr(we.accuracy)
-
-    def test_matches_sequential_evaluate_to_the_byte(self):
-        runs = self._forest()
-        batched = evaluate_forest(runs)
-        sequential = [s.evaluate(p, c) for s, p, c in runs]
-        self._assert_results_equal(batched, sequential)
-
-    def test_training_grid_forest_matches_sequential(self):
-        runs = self._forest(num_trees=4, num_training=None, training_grid=(4, 8))
-        self._assert_results_equal(
-            evaluate_forest(runs), [s.evaluate(p, c) for s, p, c in runs]
-        )
-
-    def test_multi_target_runs_fall_through_unbatched(self):
-        # Multi-target windows take the sequential predict_batch path, so
-        # a mixed forest must still match run for run.
-        runs = self._forest(
-            num_trees=3,
-            estimators=(EstimatorSpec("lia"),),
-            num_targets=3,
-        )
-        self._assert_results_equal(
-            evaluate_forest(runs), [s.evaluate(p, c) for s, p, c in runs]
-        )
-
-    def test_consumer_streams_in_run_order(self):
-        runs = self._forest(num_trees=2)
-        calls = []
-
-        def consumer(label, num_training, index, target, result):
-            calls.append((label, num_training, index))
-            assert isinstance(result, InferenceResult)
-
-        evaluate_forest(runs, target_consumer=consumer)
-        expected = []
-        for scenario, prepared, campaign in runs:
-            scenario.evaluate(
-                prepared,
-                campaign,
-                target_consumer=lambda label, m, i, t, r: expected.append(
-                    (label, m, i)
-                ),
-            )
-        assert calls == expected
-
-    def test_empty_forest(self):
-        assert evaluate_forest([]) == []
-
-    def test_grid_exceeding_campaign_raises(self):
-        runs = self._forest(num_trees=1)
-        scenario, prepared, campaign = runs[0]
-        bad = Scenario(training_grid=(50,), params=None)
-        with pytest.raises(ValueError, match="exceeds"):
-            evaluate_forest([(bad, prepared, campaign)])

@@ -81,6 +81,11 @@ class TestDelaySimulator:
         with pytest.raises(ValueError):
             DelaySnapshot(path_delays=np.array([-1.0]), num_probes=10)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_snapshot_rejects_non_finite_or_negative(self, bad):
+        with pytest.raises(ValueError, match="finite, non-negative"):
+            DelaySnapshot(path_delays=np.array([1.0, bad, 2.0]), num_probes=10)
+
 
 class TestDelayInference:
     def test_variance_ordering_identifies_congested(self, delay_setup):
@@ -124,6 +129,21 @@ class TestDelayInference:
         result = DelayInferenceAlgorithm(routing).run(campaign)
         mask = result.high_delay_links(3.0)
         assert mask.dtype == bool
+
+    def test_infer_names_wrong_path_count(self, delay_setup):
+        routing, _, campaign = delay_setup
+        training, target = campaign.split_training_target()
+        algorithm = DelayInferenceAlgorithm(routing)
+        estimate = algorithm.learn_variances(training)
+        short = DelaySnapshot(
+            path_delays=target.path_delays[:-1], num_probes=target.num_probes
+        )
+        message = (
+            f"snapshot has {routing.num_paths - 1} paths, but the routing "
+            f"matrix has {routing.num_paths}"
+        )
+        with pytest.raises(ValueError, match=message):
+            algorithm.infer(short, estimate)
 
     def test_needs_two_snapshots(self, delay_setup):
         routing, _, campaign = delay_setup

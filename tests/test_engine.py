@@ -6,10 +6,11 @@ from scipy import sparse
 
 from repro.core.covariance import CovarianceSummary
 from repro.core.engine import (
+    CACHE_ENTRIES,
+    INCREMENTAL_COLUMNS,
     FactorizationCache,
     InferenceEngine,
     ReductionCache,
-    infer_many,
 )
 from repro.core.lia import LossInferenceAlgorithm
 from repro.core.reduction import reduce_to_full_rank, solve_reduced_system
@@ -46,18 +47,15 @@ class TestFactorizationCache:
         assert cache.hits == 1 and cache.misses == 1
 
     def test_lru_eviction(self):
-        R = np.eye(8)
-        cache = FactorizationCache(R, max_entries=2)
+        R = np.eye(CACHE_ENTRIES + 1)
+        cache = FactorizationCache(R)
         a = cache.factorization(np.array([0]))
-        cache.factorization(np.array([1]))
-        cache.factorization(np.array([2]))  # evicts [0]
-        assert len(cache) == 2
+        for column in range(1, CACHE_ENTRIES + 1):
+            cache.factorization(np.array([column]))  # the last evicts [0]
+        assert len(cache) == CACHE_ENTRIES
+        assert cache.evictions == 1
         again = cache.factorization(np.array([0]))
         assert again is not a
-
-    def test_rejects_bad_max_entries(self):
-        with pytest.raises(ValueError):
-            FactorizationCache(np.eye(2), max_entries=0)
 
 
 class TestFactorizationDowndate:
@@ -71,7 +69,7 @@ class TestFactorizationDowndate:
         )
 
     def test_subset_request_downdates(self, matrix):
-        cache = FactorizationCache(matrix, downdate_limit=2)
+        cache = FactorizationCache(matrix, incremental=True)
         full = np.arange(8)
         cache.factorization(full)
         shrunk = np.array([0, 1, 2, 4, 5, 7])  # drops columns 3 and 6
@@ -88,22 +86,15 @@ class TestFactorizationDowndate:
         )
 
     def test_shrink_beyond_limit_refactorizes(self, matrix):
-        cache = FactorizationCache(matrix, downdate_limit=2)
+        cache = FactorizationCache(matrix, incremental=True)
         cache.factorization(np.arange(8))
-        cache.factorization(np.array([0, 2, 4, 6, 7]))  # 3 columns removed
-        assert cache.downdates == 0
-        assert cache.misses == 2
-
-    def test_growing_set_refactorizes(self, matrix):
-        cache = FactorizationCache(matrix, downdate_limit=2)
-        cache.factorization(np.array([0, 1, 2]))
-        cache.factorization(np.array([0, 1, 2, 3]))
+        cache.factorization(np.arange(INCREMENTAL_COLUMNS + 1, 8))
         assert cache.downdates == 0
         assert cache.misses == 2
 
     def test_downdate_is_off_by_default(self, matrix):
-        """Batch pipelines stay bit-identical: only opted-in consumers
-        (the monitor) downdate."""
+        """Batch pipelines stay bit-identical: only incremental caches
+        (the monitor's) downdate."""
         cache = FactorizationCache(matrix)
         cache.factorization(np.arange(8))
         cache.factorization(np.arange(7))
@@ -111,7 +102,7 @@ class TestFactorizationDowndate:
         assert cache.misses == 2
 
     def test_downdated_entry_is_cached(self, matrix):
-        cache = FactorizationCache(matrix, downdate_limit=2)
+        cache = FactorizationCache(matrix, incremental=True)
         cache.factorization(np.arange(6))
         shrunk = np.arange(5)
         first = cache.factorization(shrunk)
@@ -126,9 +117,8 @@ class TestFactorizationDowndate:
         from repro.probing.snapshot import Snapshot
 
         _, _, routing = small_tree
-        engine = InferenceEngine(routing)
-        # Opt in the way OnlineLossMonitor does.
-        engine.factorization_cache.downdate_limit = 2
+        # Incremental, the way OnlineLossMonitor builds its engine.
+        engine = InferenceEngine(routing, incremental=True)
 
         def estimate_with(columns):
             variances = np.zeros(routing.num_links)
@@ -168,7 +158,7 @@ class TestFactorizationUpdate:
         )
 
     def test_superset_request_updates(self, matrix):
-        cache = FactorizationCache(matrix, update_limit=2)
+        cache = FactorizationCache(matrix, incremental=True)
         cache.factorization(np.array([0, 1, 2, 4, 5, 7]))
         grown = np.arange(8)  # adds columns 3 and 6
         updated = cache.factorization(grown)
@@ -184,15 +174,15 @@ class TestFactorizationUpdate:
         )
 
     def test_grow_beyond_limit_refactorizes(self, matrix):
-        cache = FactorizationCache(matrix, update_limit=2)
+        cache = FactorizationCache(matrix, incremental=True)
         cache.factorization(np.arange(5))
-        cache.factorization(np.arange(8))  # 3 columns added
+        cache.factorization(np.arange(5 + INCREMENTAL_COLUMNS + 1))
         assert cache.updates == 0
         assert cache.misses == 2
 
     def test_update_is_off_by_default(self, matrix):
-        """Batch pipelines stay bit-identical: only opted-in consumers
-        (the monitor) ride the column-add path."""
+        """Batch pipelines stay bit-identical: only incremental caches
+        (the monitor's) ride the column-add path."""
         cache = FactorizationCache(matrix)
         cache.factorization(np.arange(5))
         cache.factorization(np.arange(6))
@@ -203,7 +193,7 @@ class TestFactorizationUpdate:
         rng = np.random.default_rng(5)
         A = rng.random(size=(10, 6))
         A[:, 4] = A[:, 0] + A[:, 1]
-        cache = FactorizationCache(A, update_limit=2)
+        cache = FactorizationCache(A, incremental=True)
         cache.factorization(np.array([0, 1, 2]))
         grown = cache.factorization(np.array([0, 1, 2, 4]))
         # The CGS2 offer rejects the dependent column; the cache falls
@@ -213,7 +203,7 @@ class TestFactorizationUpdate:
         assert not grown.full_rank
 
     def test_updated_entry_is_cached(self, matrix):
-        cache = FactorizationCache(matrix, update_limit=2)
+        cache = FactorizationCache(matrix, incremental=True)
         cache.factorization(np.arange(5))
         grown = np.arange(6)
         first = cache.factorization(grown)
@@ -221,18 +211,12 @@ class TestFactorizationUpdate:
         assert first is second
         assert cache.updates == 1 and cache.hits == 1
 
-    def test_negative_limits_rejected(self):
-        with pytest.raises(ValueError):
-            FactorizationCache(np.eye(2), update_limit=-1)
-        with pytest.raises(ValueError):
-            FactorizationCache(np.eye(2), downdate_limit=-1)
-
     def test_engine_updates_on_growing_kept_set(self, small_tree):
         """A refresh that implicates ≤2 new columns rides the add path."""
         from repro.probing.snapshot import Snapshot
 
         _, _, routing = small_tree
-        engine = InferenceEngine(routing, update_limit=2)
+        engine = InferenceEngine(routing, incremental=True)
 
         def estimate_with(columns):
             variances = np.zeros(routing.num_links)
@@ -262,7 +246,7 @@ class TestFactorizationUpdate:
 
 
 class TestCacheBudgets:
-    """max_bytes bounds resident arrays with byte-accounted LRU eviction."""
+    """Entry-bounded LRU eviction and the cache counters."""
 
     @pytest.fixture()
     def matrix(self):
@@ -275,43 +259,27 @@ class TestCacheBudgets:
     def entry_bytes(factorization):
         return factorization.q.nbytes + factorization.r.nbytes
 
-    def test_byte_budget_evicts_lru(self, matrix):
-        probe = FactorizationCache(matrix).factorization(np.arange(6))
-        cache = FactorizationCache(
-            matrix, max_bytes=self.entry_bytes(probe) + 64
-        )
-        first = cache.factorization(np.arange(6))
-        cache.factorization(np.arange(6, 12))  # same size: evicts the first
-        assert cache.evictions == 1
-        assert len(cache) == 1
-        assert cache.resident_bytes <= cache.max_bytes
-        again = cache.factorization(np.arange(6))
-        assert again is not first
-
-    def test_single_entry_may_exceed_budget(self, matrix):
-        cache = FactorizationCache(matrix, max_bytes=1)
-        cache.factorization(np.arange(6))
-        # The eviction loop never empties the cache entirely.
-        assert len(cache) == 1
-        assert cache.evictions == 0
-        assert cache.resident_bytes > cache.max_bytes
-
     def test_resident_bytes_tracks_evictions(self, matrix):
-        cache = FactorizationCache(matrix, max_entries=2)
+        cache = FactorizationCache(matrix)
         sizes = []
-        for kept in (np.arange(4), np.arange(4, 10), np.arange(10, 12)):
-            sizes.append(self.entry_bytes(cache.factorization(kept)))
+        for width in range(1, CACHE_ENTRIES + 2):
+            sizes.append(self.entry_bytes(cache.factorization(np.arange(width))))
         assert cache.evictions == 1
+        assert len(cache) == CACHE_ENTRIES
         assert cache.resident_bytes == sum(sizes[1:])
 
-    def test_max_bytes_validated(self):
-        with pytest.raises(ValueError):
-            FactorizationCache(np.eye(2), max_bytes=0)
-        with pytest.raises(ValueError):
-            ReductionCache(np.eye(2), max_bytes=0)
+    def test_reduction_cache_evicts_lru(self, matrix):
+        cache = ReductionCache(matrix)
+        for column in range(CACHE_ENTRIES + 1):
+            variances = np.zeros(12)
+            variances[column] = 1e-2
+            cache.reduce(variances, "threshold", variance_cutoff=1e-4)
+        assert cache.evictions == 1
+        assert len(cache) == CACHE_ENTRIES
+        assert cache.cache_info().misses == CACHE_ENTRIES + 1
 
     def test_cache_info_snapshot(self, matrix):
-        cache = FactorizationCache(matrix, downdate_limit=2, update_limit=2)
+        cache = FactorizationCache(matrix, incremental=True)
         cache.factorization(np.arange(6))
         cache.factorization(np.arange(6))  # hit
         cache.factorization(np.arange(5))  # downdate
@@ -335,7 +303,7 @@ class TestCacheBudgets:
 
 
 class TestReductionReuse:
-    """Threshold-strategy reuse across variance vectors (opt-in)."""
+    """Threshold-strategy reuse across variance vectors (incremental only)."""
 
     CUTOFF = 1e-4
 
@@ -361,7 +329,7 @@ class TestReductionReuse:
         )
 
     def test_exact_vector_hits(self, matrix):
-        cache = ReductionCache(matrix, reuse_limit=2)
+        cache = ReductionCache(matrix, incremental=True)
         first = self.reduce(cache, [0, 3, 5])
         second = self.reduce(cache, [0, 3, 5])
         assert first is second
@@ -369,21 +337,21 @@ class TestReductionReuse:
 
     def test_identical_candidates_skip_the_sweep(self, matrix):
         """Same above-cutoff set under different variance values."""
-        cache = ReductionCache(matrix, reuse_limit=2)
+        cache = ReductionCache(matrix, incremental=True)
         first = self.reduce(cache, [0, 3, 5])
         second = self.reduce(cache, [0, 3, 5], scale=2.0)
         assert cache.updates == 1 and cache.misses == 1
         assert np.array_equal(first.kept_columns, second.kept_columns)
 
     def test_shrunk_candidates_skip_the_sweep(self, matrix):
-        cache = ReductionCache(matrix, reuse_limit=2)
+        cache = ReductionCache(matrix, incremental=True)
         self.reduce(cache, [0, 3, 5, 8])
         shrunk = self.reduce(cache, [0, 5, 8])
         assert cache.updates == 1 and cache.misses == 1
         assert list(shrunk.kept_columns) == [0, 5, 8]
 
     def test_grown_candidates_offer_only_new_columns(self, matrix):
-        cache = ReductionCache(matrix, reuse_limit=2)
+        cache = ReductionCache(matrix, incremental=True)
         self.reduce(cache, [0, 3, 5])
         grown = self.reduce(cache, [0, 3, 5, 8, 9])
         assert cache.updates == 1 and cache.misses == 1
@@ -398,9 +366,9 @@ class TestReductionReuse:
         assert np.array_equal(grown.kept_columns, cold.kept_columns)
 
     def test_grow_beyond_limit_sweeps(self, matrix):
-        cache = ReductionCache(matrix, reuse_limit=2)
+        cache = ReductionCache(matrix, incremental=True)
         self.reduce(cache, [0, 3])
-        self.reduce(cache, [0, 3, 5, 8, 9])  # 3 new candidates
+        self.reduce(cache, [0, 3] + [5, 8, 9, 10][: INCREMENTAL_COLUMNS + 1])
         assert cache.updates == 0 and cache.misses == 2
 
     def test_reuse_is_off_by_default(self, matrix):
@@ -412,7 +380,7 @@ class TestReductionReuse:
     def test_dependent_growth_falls_back_to_the_sweep(self, matrix):
         dependent = np.array(matrix)
         dependent[:, 11] = dependent[:, 0] + dependent[:, 3]
-        cache = ReductionCache(dependent, reuse_limit=2)
+        cache = ReductionCache(dependent, incremental=True)
         self.reduce(cache, [0, 3])
         grown = self.reduce(cache, [0, 3, 11])
         # The basis offer rejects column 11, so the cold sweep runs; its
@@ -427,18 +395,26 @@ class TestReductionReuse:
         assert np.array_equal(grown.kept_columns, cold.kept_columns)
         assert list(grown.kept_columns) == [3, 11]
 
-    def test_negative_reuse_limit_rejected(self):
-        with pytest.raises(ValueError):
-            ReductionCache(np.eye(2), reuse_limit=-1)
-
 
 class TestBatchByteIdentity:
-    """Knob-free engines never touch the incremental paths.
+    """Default engines never touch the incremental paths.
 
     Batch pipelines construct their engines with the defaults, so their
     payloads stay seed-for-seed byte-identical to the pre-incremental
-    code: the new paths are opt-in and only the monitor opts in.
+    code: ``incremental`` is off by default and only the monitor turns
+    it on.
     """
+
+    def test_only_the_monitor_runs_incremental(self, small_tree):
+        from repro.monitor import OnlineLossMonitor
+
+        _, _, routing = small_tree
+        batch = LossInferenceAlgorithm(routing).engine
+        assert not batch.factorization_cache.incremental
+        assert not batch.reduction_cache.incremental
+        online = OnlineLossMonitor(routing).engine
+        assert online.factorization_cache.incremental
+        assert online.reduction_cache.incremental
 
     def test_batch_inference_is_byte_identical_to_cold_engines(
         self, trained
@@ -627,156 +603,3 @@ class TestInferBatch:
                 single.transmission_rates,
                 atol=1e-12,
             )
-
-
-class TestInferMany:
-    """Block-diagonal batched inference across independent trees."""
-
-    @pytest.fixture(scope="class")
-    def forest_runs(self):
-        """Five small trees with distinct sizes and probe counts."""
-        from repro import (
-            ProberConfig,
-            ProbingSimulator,
-            RoutingMatrix,
-            build_paths,
-            random_tree,
-        )
-
-        runs = []
-        for i in range(5):
-            topo = random_tree(num_nodes=25 + 3 * i, seed=300 + i)
-            paths = build_paths(
-                topo.network, topo.beacons, topo.destinations
-            )
-            routing = RoutingMatrix.from_paths(paths)
-            simulator = ProbingSimulator(
-                paths,
-                topo.network.num_links,
-                config=ProberConfig(
-                    probes_per_snapshot=200 + 50 * i,
-                    congestion_probability=0.15,
-                ),
-            )
-            campaign = simulator.run_campaign(9, routing, seed=500 + i)
-            training, target = campaign.split_training_target()
-            engine = InferenceEngine(routing)
-            runs.append((engine, target, engine.learn_variances(training)))
-        return runs
-
-    def test_packed_matches_loop_to_the_byte(self, forest_runs):
-        loop = infer_many(forest_runs, mode="loop")
-        packed = infer_many(forest_runs, mode="packed")
-        assert len(loop) == len(packed) == len(forest_runs)
-        for reference, batched in zip(loop, packed):
-            assert np.array_equal(
-                reference.transmission_rates, batched.transmission_rates
-            )
-            assert np.array_equal(
-                reference.reduction.kept_columns,
-                batched.reduction.kept_columns,
-            )
-
-    def test_auto_selects_packed(self, forest_runs):
-        auto = infer_many(forest_runs)
-        packed = infer_many(forest_runs, mode="packed")
-        for a, p in zip(auto, packed):
-            assert np.array_equal(a.transmission_rates, p.transmission_rates)
-
-    def test_sparse_mode_matches_to_solver_precision(self, forest_runs):
-        loop = infer_many(forest_runs, mode="loop")
-        via_sparse = infer_many(forest_runs, mode="sparse")
-        for reference, batched in zip(loop, via_sparse):
-            assert np.allclose(
-                reference.transmission_rates,
-                batched.transmission_rates,
-                rtol=1e-8,
-                atol=1e-9,
-            )
-
-    def test_empty_runs(self):
-        assert infer_many([]) == []
-        assert infer_many([], mode="loop") == []
-
-    def test_invalid_mode_raises(self, forest_runs):
-        with pytest.raises(ValueError, match="unknown infer_many mode"):
-            infer_many(forest_runs, mode="blocked")
-
-    def test_empty_kept_set_tree(self, small_tree, tree_campaign):
-        """A tree whose reduction keeps nothing still lands rate 1.0."""
-        _, _, routing = small_tree
-        engine = InferenceEngine(routing)
-        quiet = VarianceEstimate(
-            variances=np.zeros(routing.num_links),
-            method="wls",
-            covariance_summary=CovarianceSummary(2, 1, 0),
-            residual_norm=0.0,
-        )
-        target = tree_campaign.snapshots[-1]
-        runs = [(engine, target, quiet)]
-        for mode in ("packed", "sparse"):
-            (result,) = infer_many(runs, mode=mode)
-            assert np.array_equal(
-                result.transmission_rates, np.ones(routing.num_links)
-            )
-
-    def test_plan_cache_hit_and_lru(self, forest_runs):
-        from repro.core import engine as engine_module
-
-        engine_module.invalidate_forest_plans()
-        first = engine_module._forest_plan(forest_runs)
-        assert len(engine_module._forest_plans) == 1
-        assert engine_module._forest_plan(forest_runs) is first
-        # Distinct sub-forests get distinct plans, bounded by the LRU.
-        for size in range(1, 5):
-            engine_module._forest_plan(forest_runs[:size])
-        assert (
-            len(engine_module._forest_plans)
-            <= engine_module.FOREST_PLAN_LIMIT
-        )
-        engine_module.invalidate_forest_plans()
-        assert len(engine_module._forest_plans) == 0
-
-    def test_downdating_engines_bypass_plan_cache(self, forest_runs):
-        from repro.core import engine as engine_module
-
-        engine_module.invalidate_forest_plans()
-        engine, target, estimate = forest_runs[0]
-        engine._factorizations.downdate_limit = 2
-        try:
-            runs = [(engine, target, estimate)]
-            engine_module._forest_plan(runs)
-            assert len(engine_module._forest_plans) == 0
-            loop = infer_many(runs, mode="loop")
-            packed = infer_many(runs, mode="packed")
-            assert np.array_equal(
-                loop[0].transmission_rates, packed[0].transmission_rates
-            )
-        finally:
-            engine._factorizations.downdate_limit = 0
-            engine_module.invalidate_forest_plans()
-
-    def test_staticmethod_and_lia_wrapper_delegate(self, forest_runs):
-        from repro.core.lia import infer_many as lia_infer_many
-
-        packed = infer_many(forest_runs, mode="packed")
-        via_static = InferenceEngine.infer_many(forest_runs, mode="packed")
-        for a, b in zip(packed, via_static):
-            assert np.array_equal(a.transmission_rates, b.transmission_rates)
-        wrapped = []
-        for engine, target, estimate in forest_runs:
-            algorithm = LossInferenceAlgorithm.__new__(LossInferenceAlgorithm)
-            algorithm.engine = engine
-            wrapped.append((algorithm, target, estimate))
-        via_lia = lia_infer_many(wrapped, mode="packed")
-        for a, b in zip(packed, via_lia):
-            assert np.array_equal(a.transmission_rates, b.transmission_rates)
-
-    def test_full_rank_property_is_cached(self):
-        from repro.core.linalg import QRFactorization
-
-        rng = np.random.default_rng(1)
-        factorization = QRFactorization.factorize(rng.normal(size=(12, 5)))
-        assert "full_rank" not in factorization.__dict__
-        assert factorization.full_rank == factorization.is_full_rank()
-        assert "full_rank" in factorization.__dict__

@@ -245,3 +245,11 @@ class TestQRRowAppends:
         factorization = QRFactorization.factorize(random_matrix(7, 3, seed=33))
         with pytest.raises(ValueError):
             factorization.append_rows(np.ones((2, 4)))
+
+
+class TestQRFactorization:
+    def test_full_rank_property_is_cached(self):
+        factorization = QRFactorization.factorize(random_matrix(12, 5, seed=1))
+        assert "full_rank" not in factorization.__dict__
+        assert factorization.full_rank == factorization.is_full_rank()
+        assert "full_rank" in factorization.__dict__

@@ -96,10 +96,22 @@ class TestMonitor:
             OnlineLossMonitor(routing, refresh_interval=0)
         with pytest.raises(ValueError):
             OnlineLossMonitor(routing, z_threshold=0)
-        with pytest.raises(ValueError):
-            OnlineLossMonitor(routing, downdate_limit=-1)
-        with pytest.raises(ValueError):
-            OnlineLossMonitor(routing, update_limit=-1)
+
+    def test_observe_names_wrong_path_count(self, monitored_stream):
+        from repro.probing.snapshot import Snapshot
+
+        _, _, routing, _, calm = monitored_stream
+        monitor = OnlineLossMonitor(routing)
+        short = Snapshot(
+            path_transmission=calm[0].path_transmission[:-1],
+            num_probes=calm[0].num_probes,
+        )
+        message = (
+            f"snapshot has {routing.num_paths - 1} paths, but the routing "
+            f"matrix has {routing.num_paths}"
+        )
+        with pytest.raises(ValueError, match=message):
+            monitor.observe(short)
 
     def test_cache_info_passthrough(self, monitored_stream):
         _, _, routing, _, _ = monitored_stream
@@ -194,13 +206,10 @@ class TestRefreshUpdate:
         # A refactor-from-scratch monitor fed the identical stream
         # localizes the same losses to update-path precision.
         cold = OnlineLossMonitor(
-            routing,
-            window=6,
-            refresh_interval=2,
-            localize_always=True,
-            downdate_limit=0,
-            update_limit=0,
+            routing, window=6, refresh_interval=2, localize_always=True
         )
+        cold.engine.factorization_cache.incremental = False
+        cold.engine.reduction_cache.incremental = False
         cold_report = None
         for t in range(28):
             cold_report = cold.observe(self.snapshot_at(routing, t, joining))
