@@ -3,9 +3,8 @@
 Times the fig8 sweep (the widest trial grid at tiny scale) through the
 sequential backend, the cache-hit path that production sweeps lean on
 (a warmed cache must make a re-run dramatically cheaper than executing,
-because sweep iteration is exactly re-running with overlap), the thread
-backend (BLAS-bound trials release the GIL), and the streaming JSONL
-store (the spill-to-disk overhead buys flat peak RSS — see
+because sweep iteration is exactly re-running with overlap), and the
+streaming JSONL store (the spill-to-disk overhead buys flat peak RSS — see
 ``scripts/bench_store_memory.py`` for the RSS side of the trade).
 """
 
@@ -18,15 +17,6 @@ from repro.runner import ParallelRunner
 
 def test_runner_sequential_fig8(benchmark):
     runner = ParallelRunner(n_jobs=1)
-    result = run_once(
-        benchmark, EXPERIMENTS["fig8"], scale="tiny", seed=0, runner=runner
-    )
-    assert runner.last_stats.trials_executed == runner.last_stats.trials_total
-    assert result.data["p_sweep"]
-
-
-def test_runner_thread_backend_fig8(benchmark):
-    runner = ParallelRunner(n_jobs=2, backend="thread")
     result = run_once(
         benchmark, EXPERIMENTS["fig8"], scale="tiny", seed=0, runner=runner
     )

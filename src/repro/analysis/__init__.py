@@ -7,9 +7,7 @@ runtime tests otherwise catch only after a violation ships:
   imported by ``repro.experiments``/``api``/``lossmodel``/``netsim``)
   use no process-global RNG, no wall-clock reads, no bare-set iteration;
 * **registry sync** — static CLI choice tuples equal the runtime
-  registries they mirror;
-* **concurrency** — module-level registries/caches/globals are mutated
-  under a lock (the ``thread`` backend shares the process).
+  registries they mirror.
 
 Run it as ``repro lint [--format json] [paths]`` (CI blocks on
 ``repro lint src/``), or from Python::
@@ -23,19 +21,12 @@ Suppress a finding per line with a justification comment::
     created = time.time()  # reprolint: disable=wall-clock -- metadata only
 
 New rules subclass :class:`Rule`, yield :class:`Finding` objects and
-call :func:`register_rule` — the registry mirrors ``repro.api.registry``.
+join the fixed table in :mod:`repro.analysis.rules`.
 The package is pure stdlib: linting never imports, let alone executes,
 the code under analysis.
 """
 
-from repro.analysis.base import (
-    Rule,
-    all_rules,
-    available_rules,
-    get_rule,
-    register_rule,
-    unregister_rule,
-)
+from repro.analysis.base import Rule
 from repro.analysis.engine import LintReport, lint_paths, lint_project
 from repro.analysis.findings import Finding, parse_suppressions
 from repro.analysis.project import (
@@ -45,6 +36,7 @@ from repro.analysis.project import (
     module_name_for,
 )
 from repro.analysis.report import render, render_json, render_markdown, render_text
+from repro.analysis.rules import all_rules, available_rules, get_rule
 
 __all__ = [
     "Finding",
@@ -60,10 +52,8 @@ __all__ = [
     "lint_project",
     "module_name_for",
     "parse_suppressions",
-    "register_rule",
     "render",
     "render_json",
     "render_markdown",
     "render_text",
-    "unregister_rule",
 ]

@@ -13,6 +13,7 @@ from typing import List, Optional
 
 from repro.analysis.engine import lint_paths
 from repro.analysis.report import FORMATS, render, render_markdown
+from repro.analysis.rules import all_rules
 
 __all__ = ["build_parser", "main", "run_lint"]
 
@@ -21,8 +22,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro lint",
         description=(
-            "Project-invariant static analysis: determinism, registry "
-            "sync, concurrency (repro.analysis)."
+            "Project-invariant static analysis: determinism and registry "
+            "sync (repro.analysis)."
         ),
     )
     parser.add_argument(
@@ -47,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--list-rules",
         action="store_true",
-        help="print the registered rules and exit",
+        help="print the rules and exit",
     )
     parser.add_argument(
         "--summary-file",
@@ -67,10 +68,6 @@ def run_lint(
     summary_file: Optional[str] = None,
 ) -> int:
     """Lint *paths*; print the report; return the process exit code."""
-    from repro.analysis.base import all_rules
-
-    import repro.analysis.rules  # noqa: F401 - registers the built-ins
-
     try:
         rules = all_rules(rule_ids or ())
         report = lint_paths(paths, rules)
@@ -87,10 +84,6 @@ def run_lint(
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.list_rules:
-        from repro.analysis.base import all_rules
-
-        import repro.analysis.rules  # noqa: F401
-
         for rule in all_rules():
             print(f"{rule.rule_id}: {rule.description}")
         return 0

@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterable, List, Sequence, Tuple
 
-from repro.analysis.base import Rule, all_rules
+from repro.analysis.base import Rule
 from repro.analysis.findings import SUPPRESS_ALL, Finding
 from repro.analysis.project import (
     ModuleInfo,
@@ -23,6 +23,7 @@ from repro.analysis.project import (
     iter_source_files,
     load_module,
 )
+from repro.analysis.rules import all_rules
 
 __all__ = ["LintReport", "lint_paths", "lint_project"]
 
@@ -74,7 +75,7 @@ def lint_project(
     rules: Sequence[Rule] = (),
     extra_findings: Iterable[Finding] = (),
 ) -> LintReport:
-    """Run *rules* (default: every registered rule) over *project*."""
+    """Run *rules* (default: every built-in rule) over *project*."""
     active = tuple(rules) or all_rules()
     raw: List[Finding] = list(extra_findings)
     for rule in active:
@@ -105,8 +106,5 @@ def lint_paths(
     paths: Sequence[os.PathLike], rules: Sequence[Rule] = ()
 ) -> LintReport:
     """Parse *paths* and lint them; the one-call entry point."""
-    # Importing the rules package registers the built-in rules.
-    import repro.analysis.rules  # noqa: F401
-
     project, errors = build_project(paths)
     return lint_project(project, rules, extra_findings=errors)

@@ -9,8 +9,8 @@ Suppressions are per-line comments::
 
     value = time.time()  # reprolint: disable=wall-clock -- cache metadata
 
-    # reprolint: disable=unlocked-global -- single-writer: import time only
-    _cache = compute()
+    # reprolint: disable=set-iteration -- sorted by the caller
+    for name in names:
 
 An inline directive suppresses findings on its own line; a directive on
 a comment-only line suppresses findings on the next line (for

@@ -1,6 +1,6 @@
-"""Built-in rules: importing this package registers all of them.
+"""The built-in rules: one fixed table, looked up by ``rule_id``.
 
-Three families, six rules, each targeting a failure mode this repo has
+Two families, four rules, each targeting a failure mode this repo has
 actually shipped fixes for (see CHANGES.md PRs 6–9):
 
 ========================  ====================================================
@@ -8,18 +8,14 @@ actually shipped fixes for (see CHANGES.md PRs 6–9):
 ``wall-clock``            ``time.time()`` & friends in payload modules
 ``set-iteration``         bare-set iteration order escaping into results
 ``registry-sync``         static CLI choice tuples vs runtime registries
-``unlocked-global``       module globals rebound outside a lock
-``unlocked-mutation``     module containers mutated outside a lock
 ========================  ====================================================
 """
 
 from __future__ import annotations
 
-from repro.analysis.base import available_rules, register_rule
-from repro.analysis.rules.concurrency import (
-    ContainerMutationRule,
-    GlobalRebindRule,
-)
+from typing import Dict, Iterable, Tuple
+
+from repro.analysis.base import Rule
 from repro.analysis.rules.determinism import (
     SetIterationRule,
     UnseededRandomRule,
@@ -28,24 +24,42 @@ from repro.analysis.rules.determinism import (
 from repro.analysis.rules.registry_sync import RegistrySyncRule
 
 __all__ = [
-    "ContainerMutationRule",
-    "GlobalRebindRule",
     "RegistrySyncRule",
     "SetIterationRule",
     "UnseededRandomRule",
     "WallClockRule",
+    "all_rules",
+    "available_rules",
+    "get_rule",
 ]
 
-_BUILTINS = (
-    UnseededRandomRule,
-    WallClockRule,
-    SetIterationRule,
-    RegistrySyncRule,
-    GlobalRebindRule,
-    ContainerMutationRule,
-)
+_RULES: Dict[str, Rule] = {
+    rule.rule_id: rule
+    for rule in (
+        UnseededRandomRule(),
+        WallClockRule(),
+        SetIterationRule(),
+        RegistrySyncRule(),
+    )
+}
 
-for _rule_class in _BUILTINS:
-    if _rule_class.rule_id not in available_rules():
-        register_rule(_rule_class())
-del _rule_class
+
+def available_rules() -> Tuple[str, ...]:
+    """Rule ids, sorted."""
+    return tuple(sorted(_RULES))
+
+
+def get_rule(rule_id: str) -> Rule:
+    try:
+        return _RULES[rule_id]
+    except KeyError:
+        raise ValueError(
+            f"unknown rule {rule_id!r}; available: "
+            f"{', '.join(available_rules())}"
+        ) from None
+
+
+def all_rules(only: Iterable[str] = ()) -> Tuple[Rule, ...]:
+    """Every rule (or the *only* subset), id-sorted."""
+    wanted = tuple(only) or tuple(_RULES)
+    return tuple(get_rule(rule_id) for rule_id in sorted(wanted))

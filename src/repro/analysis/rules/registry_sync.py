@@ -1,18 +1,17 @@
 """Registry-sync rule: static CLI choice mirrors must match registries.
 
-``repro.cli`` (and ``repro.runner.args``) deliberately keep *static*
-copies of each runtime registry's names so that building an argparse
-parser never imports scipy or the netsim stack.  The price of a mirror
-is drift; this rule pays it once, statically, for every mirror at
-lint time instead of per-mirror runtime pin tests.
+``repro.cli`` deliberately keeps *static* copies of each runtime
+registry's names so that building an argparse parser never imports
+scipy or the netsim stack.  The price of a mirror is drift; this rule
+pays it once, statically, for every mirror at lint time instead of
+per-mirror runtime pin tests.
 
 Each :class:`Mirror` names the tuple holding the static copy and the
-registry it must equal.  Registries are read literally: a dict display
-(string keys, or ``SomeClass.name`` attributes resolved through the
-class body — following one ``from ... import`` hop inside the project)
-plus any module-level ``register*("name", ...)`` calls.  A registry the
-rule cannot statically resolve is itself a finding: these tables are
-load-bearing, so they must stay analysable.
+registry it must equal.  Registries are read literally: the keys of a
+dict display (string keys, or ``SomeClass.name`` attributes resolved
+through the class body — following one ``from ... import`` hop inside
+the project).  A registry the rule cannot statically resolve is itself
+a finding: these tables are load-bearing, so they must stay analysable.
 """
 
 from __future__ import annotations
@@ -41,8 +40,7 @@ class Mirror:
     mirror_name: str
     source_module: str
     source_name: str
-    #: "tuple" = plain tuple of strings; "registry" = dict keys plus
-    #: module-level register*() calls.
+    #: "tuple" = plain tuple of strings; "registry" = dict keys.
     source_kind: str = "tuple"
 
 
@@ -57,8 +55,6 @@ MIRRORS: Tuple[Mirror, ...] = (
            "EXPERIMENTS", "registry"),
     Mirror("repro.cli", "SCALE_CHOICES", "repro.experiments.base",
            "SCALES"),
-    Mirror("repro.runner.args", "BACKEND_CHOICES", "repro.runner.backends",
-           "_BACKENDS", "registry"),
 )
 
 
@@ -66,7 +62,7 @@ class RegistrySyncRule(Rule):
     rule_id = "registry-sync"
     description = (
         "static CLI choice tuples must equal the registries they mirror "
-        "(dict keys + register() calls), name for name"
+        "(dict keys), name for name"
     )
 
     def __init__(self, mirrors: Tuple[Mirror, ...] = MIRRORS) -> None:
@@ -153,7 +149,7 @@ def _tuple_names(
 def _registry_names(
     project: Project, source: ModuleInfo, name: str
 ) -> Tuple[Tuple[str, ...], Optional[Tuple[int, str]]]:
-    """Keys of a registry dict plus module-level ``register*()`` calls."""
+    """Keys of a registry dict display."""
     assignment = top_level_assignment(source.tree, name)
     if assignment is None:
         return (), (1, f"registry dict {name} not found in {source.name}")
@@ -177,17 +173,6 @@ def _registry_names(
                 "literal or a Class.name attribute with a literal value",
             )
         names.append(resolved)
-    for node in source.tree.body:
-        call = node.value if isinstance(node, ast.Expr) else None
-        if (
-            isinstance(call, ast.Call)
-            and isinstance(call.func, ast.Name)
-            and call.func.id.startswith("register")
-            and call.args
-            and isinstance(call.args[0], ast.Constant)
-            and isinstance(call.args[0].value, str)
-        ):
-            names.append(call.args[0].value)
     return tuple(names), None
 
 

@@ -1,4 +1,4 @@
-"""String-keyed registry of estimator backends.
+"""String-keyed table of the estimator backends.
 
 The one place that maps method names to adapter classes::
 
@@ -6,16 +6,15 @@ The one place that maps method names to adapter classes::
     estimator = registry.get("lia", reduction_strategy="gap")
     registry.available()            # ("clink", "delay", "lia", "scfs", "tomo")
 
-``register`` lets downstream code (a distributed backend, a notebook
-prototype) plug in new estimators without touching this package; the CLI
-(``repro infer --method`` / ``repro compare``) and
-:class:`~repro.api.scenario.Scenario` dispatch exclusively through here.
+The table is fixed: the CLI (``repro infer --method`` / ``repro
+compare``) and :class:`~repro.api.scenario.Scenario` dispatch
+exclusively through here.  An estimator outside it is used directly
+through the :class:`~repro.api.estimator.Estimator` protocol.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Callable, Dict, Tuple, Type
+from typing import Callable, Dict, Tuple
 
 from repro.api.adapters import (
     CLINKEstimator,
@@ -33,13 +32,10 @@ _REGISTRY: Dict[str, Callable[..., Estimator]] = {
     CLINKEstimator.name: CLINKEstimator,
     TomoEstimator.name: TomoEstimator,
 }
-#: Guards registry mutation: the thread execution backend (and any
-#: embedding service) may register estimators concurrently.
-_REGISTRY_LOCK = threading.Lock()
 
 
 def available() -> Tuple[str, ...]:
-    """Registered method names, sorted."""
+    """Method names, sorted."""
     return tuple(sorted(_REGISTRY))
 
 
@@ -52,35 +48,6 @@ def get(name: str, **params) -> Estimator:
             f"unknown estimator {name!r}; registered: {', '.join(available())}"
         ) from None
     return factory(**params)
-
-
-def register(
-    name: str, factory: Callable[..., Estimator], overwrite: bool = False
-) -> None:
-    """Add (or, with *overwrite*, replace) a backend under *name*."""
-    if not name:
-        raise ValueError("estimator name must be non-empty")
-    with _REGISTRY_LOCK:
-        if name in _REGISTRY and not overwrite:
-            raise ValueError(
-                f"estimator {name!r} already registered (pass overwrite=True)"
-            )
-        _REGISTRY[name] = factory
-
-
-def unregister(name: str) -> None:
-    """Remove a backend (built-ins included — tests restore them)."""
-    with _REGISTRY_LOCK:
-        _REGISTRY.pop(name, None)
-
-
-def estimator_class(name: str) -> Type:
-    """The registered factory itself (for ``from_spec`` classmethods)."""
-    if name not in _REGISTRY:
-        raise ValueError(
-            f"unknown estimator {name!r}; registered: {', '.join(available())}"
-        )
-    return _REGISTRY[name]  # type: ignore[return-value]
 
 
 def from_spec(spec) -> Estimator:

@@ -28,7 +28,7 @@ Five verbs covering the operational loop without writing Python:
     (:mod:`repro.runner.remote`);
 ``lint``
     run the project-invariant static analysis (:mod:`repro.analysis`)
-    over the given paths — determinism, registry sync, concurrency —
+    over the given paths — determinism and registry sync —
     and exit non-zero on any unsuppressed finding (CI blocks on
     ``repro lint src/``).
 
@@ -46,7 +46,7 @@ Examples::
     python -m repro experiments fig5 --scale small --jobs -1 \
         --cache-dir .repro-cache
     python -m repro experiments table2 --scale paper --jobs 4 \
-        --backend thread --store-dir .repro-results
+        --backend process --store-dir .repro-results
     python -m repro experiments fig5 --scale small --backend remote \
         --remote-workers 4
     python -m repro worker coordinator.example.org:7787
@@ -97,6 +97,23 @@ LOSS_METHOD_CHOICES = ("clink", "lia", "scfs", "tomo")
 #: tests).  ``--variance-solver`` picks LIA's phase-1 solver; the
 #: ``sparse``/``cg`` entries keep 10k-link meshes out of dense algebra.
 VARIANCE_SOLVER_CHOICES = ("wls", "lsmr", "normal", "qr", "nnls", "sparse", "cg")
+
+
+def _unit_interval(value: str) -> float:
+    """Argparse ``type=`` for a probability in [0, 1]."""
+    number = float(value)
+    # Written as "not inside" so NaN (every comparison False) fails.
+    if not 0.0 <= number <= 1.0:
+        raise argparse.ArgumentTypeError("must be in [0, 1]")
+    return number
+
+
+def _open_unit_interval(value: str) -> float:
+    """Argparse ``type=`` for a loss threshold in (0, 1)."""
+    number = float(value)
+    if not 0.0 < number < 1.0:
+        raise argparse.ArgumentTypeError("must be in (0, 1)")
+    return number
 
 
 def _build_topology(kind: str, size: int, hosts: int, seed: Optional[int]):
@@ -409,20 +426,22 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro",
         description="Loss tomography from second-order flow statistics.",
     )
+    from repro.runner.args import add_runner_arguments, positive_int
+
     sub = parser.add_subparsers(dest="command", required=True)
 
     audit = sub.add_parser("audit", help="identifiability report of a layout")
     simulate = sub.add_parser("simulate", help="simulate and save a campaign")
     for p in (audit, simulate):
         p.add_argument("--topology", choices=TOPOLOGY_CHOICES, default="tree")
-        p.add_argument("--size", type=int, default=200, help="node count")
-        p.add_argument("--hosts", type=int, default=16, help="end hosts")
+        p.add_argument("--size", type=positive_int, default=200, help="node count")
+        p.add_argument("--hosts", type=positive_int, default=16, help="end hosts")
         p.add_argument("--seed", type=int, default=0)
     audit.set_defaults(func=cmd_audit)
 
-    simulate.add_argument("--snapshots", type=int, default=31)
-    simulate.add_argument("--probes", type=int, default=1000)
-    simulate.add_argument("--congestion", type=float, default=0.10)
+    simulate.add_argument("--snapshots", type=positive_int, default=31)
+    simulate.add_argument("--probes", type=positive_int, default=1000)
+    simulate.add_argument("--congestion", type=_unit_interval, default=0.10)
     simulate.add_argument(
         "--model", choices=("llrd1", "llrd2", "internet"), default="llrd1"
     )
@@ -454,8 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="lia",
         help="estimator to run (repro.api registry name)",
     )
-    infer.add_argument("--threshold", type=float, default=0.002)
-    infer.add_argument("--top", type=int, default=20, help="rows to print")
+    infer.add_argument("--threshold", type=_open_unit_interval, default=0.002)
+    infer.add_argument("--top", type=positive_int, default=20, help="rows to print")
     infer.set_defaults(func=cmd_infer)
 
     compare = sub.add_parser(
@@ -468,8 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="lia,scfs,clink,tomo",
         help="comma-separated registry names (default: all loss estimators)",
     )
-    compare.add_argument("--threshold", type=float, default=0.002)
-    compare.add_argument("--top", type=int, default=30, help="rows to print")
+    compare.add_argument("--threshold", type=_open_unit_interval, default=0.002)
+    compare.add_argument("--top", type=positive_int, default=30, help="rows to print")
     compare.set_defaults(func=cmd_compare)
 
     for p in (infer, compare):
@@ -482,8 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "'sparse'/'cg' keep 10k-link systems out of dense algebra"
             ),
         )
-
-    from repro.runner.args import add_runner_arguments
 
     experiments = sub.add_parser(
         "experiments", help="regenerate paper tables/figures (parallel runner)"
@@ -500,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="static analysis: determinism, registry sync, concurrency",
+        help="static analysis: determinism and registry sync",
         description=(
             "Run the rule-based AST lint engine (repro.analysis) over "
             "the given paths.  Exits 1 on any unsuppressed finding; "

@@ -7,7 +7,7 @@ Examples::
     python -m repro.experiments all --scale tiny
     python -m repro.experiments fig8 --scale paper --jobs -1 \
         --cache-dir ~/.cache/repro-experiments
-    python -m repro.experiments fig5 --jobs 4 --backend thread \
+    python -m repro.experiments fig5 --jobs 4 --backend process \
         --store-dir /tmp/repro-results
 """
 

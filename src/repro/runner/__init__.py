@@ -4,8 +4,8 @@ The paper's evaluation is a pile of independent (topology seed x
 loss-model x parameter) trials; this package schedules them.  See
 :class:`ParallelRunner` for the execution/caching contract,
 :class:`~repro.runner.spec.TrialSpec` for the unit of work,
-:mod:`repro.runner.backends` for the pluggable execution seam
-(serial/process/thread/remote + registry), :mod:`repro.runner.remote`
+:mod:`repro.runner.backends` for the execution seam
+(serial/process/remote), :mod:`repro.runner.remote`
 for the TCP work-stealing scheduler behind the ``remote`` backend
 (imported lazily — building it is the only thing that touches sockets)
 and :mod:`repro.runner.store` for the streaming result store that
@@ -16,11 +16,8 @@ from repro.runner.backends import (
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     available_backends,
     get_backend,
-    register_backend,
-    unregister_backend,
 )
 from repro.runner.cache import ShardCache, compute_code_version
 from repro.runner.core import (
@@ -49,14 +46,11 @@ __all__ = [
     "SerialBackend",
     "ShardCache",
     "ShardExecutionError",
-    "ThreadBackend",
     "TrialSpec",
     "available_backends",
     "compute_code_version",
     "default_n_jobs",
     "get_backend",
-    "register_backend",
     "shard_key",
     "shard_specs",
-    "unregister_backend",
 ]

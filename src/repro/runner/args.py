@@ -20,14 +20,6 @@ from typing import Optional
 from repro.runner.backends import available_backends
 from repro.runner.core import ParallelRunner
 
-#: Static mirror of the built-in ``repro.runner.backends._BACKENDS``
-#: registry, kept literal so help text and docs can cite the choices
-#: without importing executor machinery.  The ``registry-sync`` lint
-#: rule verifies it matches the registry; runtime parsing still uses
-#: :func:`available_backends` so plugins appear automatically.
-BACKEND_CHOICES = ("process", "remote", "serial", "thread")
-
-
 def _jobs(value: str) -> int:
     jobs = int(value)
     if jobs == 0 or jobs < -1:
@@ -35,13 +27,6 @@ def _jobs(value: str) -> int:
             "must be a positive count or -1 (all cores)"
         )
     return jobs
-
-
-def _shard_size(value: str) -> int:
-    size = int(value)
-    if size <= 0:
-        raise argparse.ArgumentTypeError("must be a positive trial count")
-    return size
 
 
 def _dir_path(value: str) -> str:
@@ -56,7 +41,8 @@ def _workers_spec(value: str) -> str:
     return value
 
 
-def _positive(value: str) -> int:
+def positive_int(value: str) -> int:
+    """Argparse ``type=`` for count flags: an integer of at least 1."""
     count = int(value)
     if count <= 0:
         raise argparse.ArgumentTypeError("must be a positive count")
@@ -139,7 +125,7 @@ def add_runner_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         help=(
             "execution backend (default: serial for --jobs 1, process "
-            "otherwise; thread suits BLAS-bound trials that release the GIL)"
+            "otherwise)"
         ),
     )
     parser.add_argument(
@@ -150,7 +136,7 @@ def add_runner_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--shard-size",
-        type=_shard_size,
+        type=positive_int,
         default=1,
         help="trials per shard / cache entry (default 1)",
     )
@@ -175,7 +161,7 @@ def add_runner_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--remote-workers",
-        type=_positive,
+        type=positive_int,
         default=None,
         help=(
             "[remote backend] auto-spawn this many `repro worker` "

@@ -1,4 +1,4 @@
-"""Pluggable execution backends for the sharded runner.
+"""Execution backends for the sharded runner.
 
 :class:`ParallelRunner` decides *what* to run (sharding, cache lookups,
 result merging); an :class:`ExecutionBackend` decides *where and how*
@@ -14,8 +14,7 @@ yielded in *any* order (the runner merges by ``spec.index``), and must
 be yielded **as shards finish** so the runner can stream payloads to its
 result store and memoize completed shards before later ones run.
 
-Four backends ship in-tree, selected through a string-keyed registry
-mirroring ``repro.api.registry``:
+Three backends ship in-tree, selected by name:
 
 ``serial``
     In-process, in-order execution — the ``n_jobs=1`` path.  No pool,
@@ -23,11 +22,6 @@ mirroring ``repro.api.registry``:
 ``process``
     A ``ProcessPoolExecutor`` over ``n_jobs`` workers.  Trial functions
     must be module-level (picklable).
-``thread``
-    A ``ThreadPoolExecutor`` over ``n_jobs`` workers.  Worth choosing
-    when trials spend their time in NumPy/SciPy/BLAS kernels that
-    release the GIL: threads share the process (no pickling, shared
-    read-only caches) at near-process parallelism.
 ``remote``
     A TCP work-stealing coordinator (:mod:`repro.runner.remote`):
     ``repro worker <host:port>`` processes — on this machine or any
@@ -35,29 +29,21 @@ mirroring ``repro.api.registry``:
     results back.  Killed workers' in-flight shards are re-queued, and
     a code-version handshake refuses workers running different sources.
 
-Writing a remote backend (SSH, cluster scheduler, job queue) means
-implementing exactly one class: accept ``(n_jobs, mp_context)`` keyword
-arguments in the factory, ship each shard's ``TrialSpec`` list to a
-worker (specs are JSON-canonical by construction — see
-``TrialSpec.identity``), run ``execute_shard`` remotely, and yield
-``(shard_index, ("ok", payloads))`` as results come back.  Register it
-with :func:`register_backend` and every experiment, scenario and CLI
-verb (``--backend``) can reach it; the shard cache and the streaming
-result store keep working unchanged because they live runner-side.
+Writing another backend (SSH, cluster scheduler, job queue) means
+implementing exactly one class: ship each shard's ``TrialSpec`` list to
+a worker (specs are JSON-canonical by construction — see
+``TrialSpec.identity``), run ``execute_shard`` there, and yield
+``(shard_index, ("ok", payloads))`` as results come back.  Pass an
+instance as ``ParallelRunner(backend=...)``; the shard cache and the
+streaming result store keep working unchanged because they live
+runner-side.
 """
 
 from __future__ import annotations
 
-import threading
 import traceback
 from abc import ABC, abstractmethod
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import (
     Any,
     Callable,
@@ -97,25 +83,10 @@ def shard_worker(args: "Tuple[TrialFunction, List[TrialSpec]]") -> ShardOutcome:
         return ("error", traceback.format_exc())
 
 
-def shard_worker_inprocess(
-    args: "Tuple[TrialFunction, List[TrialSpec]]",
-) -> ShardOutcome:
-    """Thread-pool entry point: the exception never leaves the process,
-    so the live object rides along with its traceback text and the
-    runner can chain it as ``ShardExecutionError.__cause__`` — the same
-    contract the serial backend honours.  (The process-pool worker above
-    cannot: arbitrary exceptions are not guaranteed picklable.)"""
-    trial_fn, shard = args
-    try:
-        return ("ok", execute_shard(trial_fn, shard))
-    except BaseException as error:
-        return ("error", traceback.format_exc(), error)
-
-
 class ExecutionBackend(ABC):
-    """Where shards run.  Subclass + :func:`register_backend` to extend."""
+    """Where shards run.  Subclass and pass an instance to the runner."""
 
-    #: Registry key and the name failure reports blame.
+    #: The name failure reports blame.
     name: str = "?"
 
     @abstractmethod
@@ -152,26 +123,23 @@ class SerialBackend(ExecutionBackend):
                 yield shard_index, ("error", traceback.format_exc(), error)
 
 
-class _PoolBackend(ExecutionBackend):
-    """Shared submit/drain loop of the executor-pool backends."""
+class ProcessBackend(ExecutionBackend):
+    """``ProcessPoolExecutor`` workers; trial functions must pickle."""
 
-    #: Pool entry point; in-process pools use the exception-attaching one.
-    worker = staticmethod(shard_worker)
+    name = "process"
 
     def __init__(self, n_jobs: int = 1, mp_context: Optional[str] = None) -> None:
         self.n_jobs = max(1, n_jobs)
         self.mp_context = mp_context
 
-    def _make_executor(self, max_workers: int) -> Executor:
-        raise NotImplementedError
-
     def run_shards(self, trial_fn, shards):
         if not shards:
             return
         workers = min(self.n_jobs, len(shards))
-        with self._make_executor(workers) as pool:
+        context = multiprocessing.get_context(self.mp_context)
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
             futures: Dict[Any, int] = {
-                pool.submit(self.worker, (trial_fn, shard)): shard_index
+                pool.submit(shard_worker, (trial_fn, shard)): shard_index
                 for shard_index, shard in shards
             }
             outstanding = set(futures)
@@ -182,8 +150,8 @@ class _PoolBackend(ExecutionBackend):
                 for future in sorted(done, key=lambda f: futures[f]):
                     # pop: a drained future (and the payload list pinned
                     # by its result) must be GC-able immediately, or the
-                    # pool backends would retain every payload until the
-                    # run ends and defeat the streaming store's flat RSS.
+                    # pool would retain every payload until the run ends
+                    # and defeat the streaming store's flat RSS.
                     shard_index = futures.pop(future)
                     error = future.exception()
                     if error is not None:  # pool breakage, not a trial error
@@ -199,28 +167,6 @@ class _PoolBackend(ExecutionBackend):
                         yield shard_index, future.result()
 
 
-class ProcessBackend(_PoolBackend):
-    """``ProcessPoolExecutor`` workers; trial functions must pickle."""
-
-    name = "process"
-
-    def _make_executor(self, max_workers: int) -> Executor:
-        context = multiprocessing.get_context(self.mp_context)
-        return ProcessPoolExecutor(max_workers=max_workers, mp_context=context)
-
-
-class ThreadBackend(_PoolBackend):
-    """``ThreadPoolExecutor`` workers for GIL-releasing (BLAS-bound) trials."""
-
-    name = "thread"
-    # Threads share the process: keep the live exception so the runner
-    # can chain it, instead of flattening it to text like `process` must.
-    worker = staticmethod(shard_worker_inprocess)
-
-    def _make_executor(self, max_workers: int) -> Executor:
-        return ThreadPoolExecutor(max_workers=max_workers)
-
-
 def _remote_factory(**options: Any) -> ExecutionBackend:
     """Build the ``remote`` backend lazily (sockets stay unimported
     until someone actually asks for distributed execution)."""
@@ -229,20 +175,15 @@ def _remote_factory(**options: Any) -> ExecutionBackend:
     return RemoteBackend(**options)
 
 
-# -- registry ------------------------------------------------------------------
-
 _BACKENDS: Dict[str, Callable[..., ExecutionBackend]] = {
     SerialBackend.name: SerialBackend,
     ProcessBackend.name: ProcessBackend,
-    ThreadBackend.name: ThreadBackend,
     "remote": _remote_factory,
 }
-#: Guards registry mutation (same contract as repro.api.registry).
-_BACKENDS_LOCK = threading.Lock()
 
 
 def available_backends() -> Tuple[str, ...]:
-    """Registered backend names, sorted."""
+    """Built-in backend names, sorted."""
     return tuple(sorted(_BACKENDS))
 
 
@@ -252,41 +193,18 @@ def get_backend(
     mp_context: Optional[str] = None,
     **options: Any,
 ) -> ExecutionBackend:
-    """Build the backend registered under *name*.
+    """Build the built-in backend called *name*.
 
     Factories are called as ``factory(n_jobs=..., mp_context=...,
-    **options)``; custom backends must accept (and may ignore) the two
-    standard keywords.  Extra *options* are backend-specific (the
-    ``remote`` backend takes ``bind``/``workers``/``spawn_workers``);
-    backends that take none reject them with a ``TypeError``.
+    **options)``.  Extra *options* are backend-specific (the ``remote``
+    backend takes ``bind``/``workers``/``spawn_workers``); backends
+    that take none reject them with a ``TypeError``.
     """
     try:
         factory = _BACKENDS[name]
     except KeyError:
         raise ValueError(
-            f"unknown execution backend {name!r}; registered: "
+            f"unknown execution backend {name!r}; available: "
             f"{', '.join(available_backends())}"
         ) from None
     return factory(n_jobs=n_jobs, mp_context=mp_context, **options)
-
-
-def register_backend(
-    name: str,
-    factory: Callable[..., ExecutionBackend],
-    overwrite: bool = False,
-) -> None:
-    """Add (or, with *overwrite*, replace) an execution backend."""
-    if not name:
-        raise ValueError("backend name must be non-empty")
-    with _BACKENDS_LOCK:
-        if name in _BACKENDS and not overwrite:
-            raise ValueError(
-                f"backend {name!r} already registered (pass overwrite=True)"
-            )
-        _BACKENDS[name] = factory
-
-
-def unregister_backend(name: str) -> None:
-    """Remove a backend (built-ins included — tests restore them)."""
-    with _BACKENDS_LOCK:
-        _BACKENDS.pop(name, None)

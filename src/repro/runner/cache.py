@@ -54,7 +54,6 @@ def compute_code_version(root: "Optional[os.PathLike]" = None) -> str:
     if _code_version_cache is None:
         import repro
 
-        # reprolint: disable=unlocked-global -- idempotent: racing writers compute the same hash
         _code_version_cache = _hash_tree(Path(repro.__file__).resolve().parent)
     return _code_version_cache
 

@@ -8,7 +8,7 @@ shards on disk.  Guarantees:
 * **Determinism** — every trial's randomness comes from the derived seed
   baked into its spec, and sharding is independent of both the worker
   count and the backend, so ``n_jobs=1`` and ``n_jobs=8``, ``serial``,
-  ``process`` and ``thread`` all produce identical payload sequences.
+  ``process`` and ``remote`` all produce identical payload sequences.
 * **Streamed, index-ordered results** — shard payloads are appended to a
   :class:`~repro.runner.store.ResultStore` as workers finish (recorded in
   :attr:`RunnerStats.arrival_order`); :meth:`ParallelRunner.run` returns
@@ -145,9 +145,8 @@ class ParallelRunner:
         Trial functions must be module-level (picklable) for the
         ``process`` backend.
     backend:
-        Execution backend: a registered name (``"serial"``,
-        ``"process"``, ``"thread"``, ``"remote"``, or anything added
-        through :func:`~repro.runner.backends.register_backend`) or an
+        Execution backend: a built-in name (``"serial"``,
+        ``"process"`` or ``"remote"``) or an
         :class:`~repro.runner.backends.ExecutionBackend` instance.
         ``None`` (default) selects ``serial`` for ``n_jobs=1`` and
         ``process`` otherwise — exactly the historical behaviour.

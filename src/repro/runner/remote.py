@@ -34,7 +34,7 @@ Everything stateful — shard cache, result store, payload merging —
 stays coordinator-side in :class:`~repro.runner.core.ParallelRunner`,
 so crashed remote campaigns resume from the shard cache exactly as
 ``process`` campaigns do, and payloads are seed-for-seed identical
-across ``serial``/``process``/``thread``/``remote``.
+across ``serial``/``process``/``remote``.
 """
 
 from __future__ import annotations

@@ -27,8 +27,6 @@ from repro.api import (
     available,
     from_spec,
     get,
-    register,
-    unregister,
 )
 from repro.experiments.base import prepare_topology, scale_params
 from repro.inference import (
@@ -103,37 +101,6 @@ class TestRegistry:
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown estimator"):
             get("bogus")
-
-    def test_register_external_backend(self):
-        class Constant:
-            name = "constant"
-            kind = "rates"
-            uses_training = False
-
-            def fit(self, campaign, paths=None):
-                self._n = campaign.routing.num_links
-                return self
-
-            def predict(self, snapshot):
-                return InferenceResult(
-                    method="constant", kind="rates", values=np.zeros(self._n)
-                )
-
-            def predict_batch(self, window):
-                return [self.predict(s) for s in window]
-
-            def spec(self):
-                return EstimatorSpec("constant")
-
-        try:
-            register("constant", Constant)
-            with pytest.raises(ValueError, match="already registered"):
-                register("constant", Constant)
-            assert "constant" in available()
-            assert isinstance(get("constant"), Constant)
-        finally:
-            unregister("constant")
-        assert "constant" not in available()
 
 
 class TestAdapterPins:

@@ -151,6 +151,38 @@ class TestSimulateInfer:
         assert main(["infer", str(doc)]) == 0
 
 
+class TestNumberFlags:
+    """Out-of-range number flags are usage errors (exit 2), not tracebacks."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["audit", "--size", "0"], "--size: must be a positive count"),
+            (["audit", "--hosts", "-2"], "--hosts: must be a positive count"),
+            (["simulate", "--snapshots", "0"], "--snapshots: must be a positive count"),
+            (["simulate", "--probes", "-3"], "--probes: must be a positive count"),
+            (["simulate", "--congestion", "1.5"], "--congestion: must be in [0, 1]"),
+            (["simulate", "--congestion", "nan"], "--congestion: must be in [0, 1]"),
+            (["infer", "doc.json", "--threshold", "nan"], "--threshold: must be in (0, 1)"),
+            (["infer", "doc.json", "--threshold", "-1"], "--threshold: must be in (0, 1)"),
+            (["infer", "doc.json", "--threshold", "2"], "--threshold: must be in (0, 1)"),
+            (["infer", "doc.json", "--top", "-3"], "--top: must be a positive count"),
+            (["compare", "doc.json", "--threshold", "0"], "--threshold: must be in (0, 1)"),
+            (["compare", "doc.json", "--top", "0"], "--top: must be a positive count"),
+        ],
+    )
+    def test_bad_number_is_a_usage_error(self, argv, message, tmp_path, capsys):
+        if argv[0] == "simulate":
+            argv = argv + ["--out", str(tmp_path / "campaign.json")]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "campaign.json").exists()
+
+
 class TestMethodDispatch:
     @pytest.fixture(scope="class")
     def document(self, tmp_path_factory):
@@ -266,13 +298,12 @@ class TestExperimentsVerb:
         base_argv = ["experiments", "fig5", "--scale", "tiny", "--seed", "0"]
         assert main(base_argv + ["--jobs", "1"]) == 0
         sequential = capsys.readouterr().out
-        for backend in ("thread", "process"):
-            argv = base_argv + ["--jobs", "2", "--backend", backend]
-            assert main(argv) == 0
-            out = capsys.readouterr().out
-            assert f"backend={backend}" in out
-            # identical rendered tables: backend changes nothing but speed
-            assert out.split("[fig5")[0] == sequential.split("[fig5")[0]
+        argv = base_argv + ["--jobs", "2", "--backend", "process"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "backend=process" in out
+        # identical rendered tables: backend changes nothing but speed
+        assert out.split("[fig5")[0] == sequential.split("[fig5")[0]
 
     def test_store_dir_streams_payloads(self, tmp_path, capsys):
         store = tmp_path / "results"

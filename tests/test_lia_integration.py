@@ -1,9 +1,17 @@
 """End-to-end integration tests of the LIA pipeline."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro import LossInferenceAlgorithm, ProberConfig, ProbingSimulator
+from repro import (
+    LossInferenceAlgorithm,
+    MeasurementCampaign,
+    ProberConfig,
+    ProbingSimulator,
+    RoutingMatrix,
+)
 from repro.lossmodel import LLRD1, LLRD2
 from repro.metrics import evaluate_location
 
@@ -87,6 +95,63 @@ class TestMeshPipeline:
         assert result.num_links == routing.num_links
 
 
+def permute_paths(campaign, order):
+    """*campaign* with its paths listed in *order*: routing-matrix rows,
+    ``paths`` and every snapshot's ``path_transmission`` move together;
+    the columns (links) stay put."""
+    routing = campaign.routing
+    permuted = RoutingMatrix(
+        routing.matrix[order],
+        [routing.paths[i] for i in order],
+        routing.virtual_links,
+    )
+    snapshots = [
+        replace(snapshot, path_transmission=snapshot.path_transmission[order])
+        for snapshot in campaign.snapshots
+    ]
+    return MeasurementCampaign(permuted, snapshots)
+
+
+class TestPathPermutation:
+    """Metamorphic relation: the order paths are listed in is not data."""
+
+    @pytest.fixture(scope="class")
+    def mesh_campaign(self, small_mesh):
+        topo, paths, routing = small_mesh
+        sim = ProbingSimulator(
+            paths,
+            topo.network.num_links,
+            config=ProberConfig(
+                probes_per_snapshot=500, congestion_probability=0.10
+            ),
+        )
+        return sim.run_campaign(26, routing, seed=5)
+
+    @pytest.mark.parametrize("layout", ["tree", "mesh"])
+    @pytest.mark.parametrize("order_seed", [0, 1])
+    def test_per_link_output_unchanged(
+        self, request, layout, order_seed
+    ):
+        campaign = request.getfixturevalue(
+            "tree_campaign" if layout == "tree" else "mesh_campaign"
+        )
+        routing = campaign.routing
+        order = np.random.default_rng(order_seed).permutation(routing.num_paths)
+        assert not np.array_equal(order, np.arange(routing.num_paths))
+        shuffled = permute_paths(campaign, order)
+
+        expected = LossInferenceAlgorithm(routing).run(campaign)
+        got = LossInferenceAlgorithm(shuffled.routing).run(shuffled)
+        np.testing.assert_allclose(
+            got.loss_rates, expected.loss_rates, rtol=0, atol=1e-12
+        )
+        assert np.array_equal(
+            got.congested_links(LLRD1.threshold),
+            expected.congested_links(LLRD1.threshold),
+        )
+        assert expected.congested_links(LLRD1.threshold).any()
+
+
 class TestDriverPlumbing:
     def test_variance_reuse_across_snapshots(self, small_tree, tree_campaign):
         _, _, routing = small_tree
@@ -107,8 +172,6 @@ class TestDriverPlumbing:
         lia = LossInferenceAlgorithm(routing)
         training, target = tree_campaign.split_training_target()
         estimate = lia.learn_variances(training)
-        from dataclasses import replace
-
         truncated = replace(estimate, variances=estimate.variances[:-1])
         with pytest.raises(ValueError):
             lia.infer(target, truncated)

@@ -398,6 +398,8 @@ class TestRemoteBackend:
         got = runner.run("remote-unit", wire_trial, specs)
         assert list(got) == list(expected)
         assert runner.backend.name == "remote"
+        # backend_options reach the factory: the fleet size came through.
+        assert runner.backend.spawn_workers == 2
         assert runner.last_stats.shards_executed == 5
 
     def test_remote_error_carries_worker_traceback(self):

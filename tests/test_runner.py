@@ -22,10 +22,8 @@ from repro.runner import (
     available_backends,
     compute_code_version,
     get_backend,
-    register_backend,
     shard_key,
     shard_specs,
-    unregister_backend,
 )
 from repro.runner.spec import json_roundtrip
 
@@ -97,10 +95,10 @@ class TestSpecs:
 
 
 class TestBackends:
-    """The pluggable execution seam: registry + payload identity."""
+    """The execution seam: built-in names + payload identity."""
 
     def test_registry_lists_builtins(self):
-        assert set(available_backends()) >= {"serial", "process", "thread"}
+        assert available_backends() == ("process", "remote", "serial")
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError, match="unknown execution backend"):
@@ -111,22 +109,15 @@ class TestBackends:
     def test_default_backend_tracks_n_jobs(self):
         assert ParallelRunner(n_jobs=1).backend.name == "serial"
         assert ParallelRunner(n_jobs=2).backend.name == "process"
-        assert ParallelRunner(n_jobs=2, backend="thread").backend.name == "thread"
 
     def test_every_backend_matches_serial(self):
         specs = make_specs(9)
         expected = ParallelRunner(n_jobs=1).run("unit", square_trial, specs)
-        for backend in ("serial", "process", "thread"):
+        for backend in ("serial", "process"):
             got = ParallelRunner(n_jobs=3, backend=backend).run(
                 "unit", square_trial, specs
             )
             assert got == expected
-
-    def test_thread_backend_crash_carries_traceback(self):
-        with pytest.raises(ShardExecutionError, match="probe storm"):
-            ParallelRunner(n_jobs=2, backend="thread").run(
-                "unit", fragile_trial, make_specs(4)
-            )
 
     def test_serial_backend_chains_original_exception(self):
         # In-process runs keep the live exception as __cause__ (parity
@@ -146,39 +137,35 @@ class TestBackends:
 
     def test_register_custom_backend(self):
         # The "write your own backend" contract from the README: one
-        # class, registered by name, reachable from the runner.
+        # class, passed to the runner as an instance.
         class LoggingBackend(SerialBackend):
             name = "logging"
-            seen: list = []
+
+            def __init__(self):
+                super().__init__()
+                self.seen = []
 
             def run_shards(self, trial_fn, shards):
                 self.seen.append(len(shards))
                 return super().run_shards(trial_fn, shards)
 
-        register_backend("logging", LoggingBackend)
-        try:
-            specs = make_specs(4)
-            runner = ParallelRunner(backend="logging")
-            got = runner.run("unit", square_trial, specs)
-            assert got == ParallelRunner().run("unit", square_trial, specs)
-            assert runner.backend.name == "logging"
-            assert LoggingBackend.seen == [4]
-        finally:
-            unregister_backend("logging")
-        with pytest.raises(ValueError):
+        specs = make_specs(4)
+        backend = LoggingBackend()
+        runner = ParallelRunner(backend=backend)
+        got = runner.run("unit", square_trial, specs)
+        assert got == ParallelRunner().run("unit", square_trial, specs)
+        assert runner.backend is backend
+        assert backend.seen == [4]
+        with pytest.raises(ValueError, match="unknown execution backend"):
             get_backend("logging")
 
-    def test_register_rejects_duplicates(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend("serial", SerialBackend)
-
     def test_optionless_backends_reject_backend_options(self):
-        # serial/process/thread take no options; a typo'd or misrouted
-        # option must fail at construction, not be silently dropped.
+        # serial/process take no options; a typo'd or misrouted option
+        # must fail at construction, not be silently dropped.
         with pytest.raises(TypeError):
             get_backend("serial", bind="127.0.0.1:0")
         with pytest.raises(TypeError):
-            ParallelRunner(backend="thread", backend_options={"workers": 2})
+            ParallelRunner(backend="process", backend_options={"workers": 2})
 
     def test_backend_options_need_a_registry_name(self):
         with pytest.raises(ValueError, match="registry name"):
@@ -186,32 +173,14 @@ class TestBackends:
                 backend=SerialBackend(), backend_options={"bind": "x"}
             )
 
-    def test_backend_options_reach_the_factory(self):
-        captured = {}
-
-        def factory(n_jobs=1, mp_context=None, **options):
-            captured.update(options, n_jobs=n_jobs)
-            return SerialBackend()
-
-        register_backend("capturing", factory)
-        try:
-            ParallelRunner(
-                n_jobs=3, backend="capturing",
-                backend_options={"flavor": "mesh"},
-            )
-            assert captured == {"flavor": "mesh", "n_jobs": 3}
-        finally:
-            unregister_backend("capturing")
-
     def test_shared_cache_across_backends(self, tmp_path):
         specs = make_specs(6)
         ParallelRunner(n_jobs=1, cache_dir=tmp_path).run(
             "unit", square_trial, specs
         )
-        for backend in ("process", "thread"):
-            runner = ParallelRunner(n_jobs=2, backend=backend, cache_dir=tmp_path)
-            runner.run("unit", square_trial, specs)
-            assert runner.last_stats.shards_executed == 0
+        runner = ParallelRunner(n_jobs=2, backend="process", cache_dir=tmp_path)
+        runner.run("unit", square_trial, specs)
+        assert runner.last_stats.shards_executed == 0
 
 
 class TestResultStore:
@@ -244,12 +213,10 @@ class TestResultStore:
     def test_jsonl_store_under_parallel_backends(self, tmp_path):
         specs = make_specs(8)
         expected = ParallelRunner().run("unit", square_trial, specs)
-        for backend in ("process", "thread"):
-            store = tmp_path / backend
-            got = ParallelRunner(
-                n_jobs=3, backend=backend, store_dir=store
-            ).run("unit", square_trial, specs)
-            assert got == expected
+        got = ParallelRunner(
+            n_jobs=3, backend="process", store_dir=tmp_path
+        ).run("unit", square_trial, specs)
+        assert got == expected
 
     def test_jsonl_store_with_cache_hits(self, tmp_path):
         specs = make_specs(5)
@@ -495,7 +462,7 @@ class TestWorkerFailure:
         # The worker-side traceback — file, line, exception text — must
         # survive every transport (in-process, pickle, pool future) and
         # land verbatim in the ShardExecutionError message.
-        for backend in ("serial", "process", "thread"):
+        for backend in ("serial", "process"):
             with pytest.raises(ShardExecutionError) as excinfo:
                 ParallelRunner(n_jobs=2, backend=backend).run(
                     "unit", fragile_trial, make_specs(4)
@@ -505,15 +472,6 @@ class TestWorkerFailure:
             assert "Traceback (most recent call last)" in error.worker_traceback
             assert "fragile_trial" in error.worker_traceback
             assert error.worker_traceback in str(error)
-
-    def test_thread_backend_chains_original_exception(self):
-        # Threads share the process, so (like serial) the live exception
-        # must ride along as __cause__, not be flattened to text.
-        with pytest.raises(ShardExecutionError) as excinfo:
-            ParallelRunner(n_jobs=2, backend="thread").run(
-                "unit", fragile_trial, make_specs(4)
-            )
-        assert isinstance(excinfo.value.__cause__, ValueError)
 
     def test_process_backend_error_is_text_only(self):
         # Across the process boundary arbitrary exceptions are not
@@ -615,12 +573,10 @@ class TestExperimentAcceptance:
         assert self.fig5_data(ParallelRunner(n_jobs=2)) == self.fig5_data(None)
 
     def test_fig5_backends_payload_identical(self):
-        # The ISSUE's acceptance bar: thread and process backends are
-        # byte-identical to the sequential run.
+        # The process backend is byte-identical to the sequential run.
         sequential = self.fig5_data(ParallelRunner(n_jobs=1))
-        for backend in ("thread", "process"):
-            got = self.fig5_data(ParallelRunner(n_jobs=2, backend=backend))
-            assert got == sequential
+        got = self.fig5_data(ParallelRunner(n_jobs=2, backend="process"))
+        assert got == sequential
 
     def test_fig5_streamed_store_payload_identical(self, tmp_path):
         sequential = self.fig5_data(ParallelRunner(n_jobs=1))
