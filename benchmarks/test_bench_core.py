@@ -14,7 +14,7 @@ from repro.core.augmented import intersecting_pairs
 from repro.core.lia import LossInferenceAlgorithm
 from repro.core.linalg import greedy_independent_columns, householder_qr
 from repro.core.reduction import reduce_to_full_rank, solve_reduced_system
-from repro.core.variance import estimate_link_variances
+from repro.core.variance import VARIANCE_METHODS, estimate_link_variances
 
 
 def test_build_intersecting_pairs(benchmark, bench_tree):
@@ -23,7 +23,7 @@ def test_build_intersecting_pairs(benchmark, bench_tree):
     assert pairs.num_links == prepared.routing.num_links
 
 
-@pytest.mark.parametrize("method", ["wls", "lsmr", "normal", "sparse", "cg"])
+@pytest.mark.parametrize("method", VARIANCE_METHODS)
 def test_variance_learning(benchmark, bench_tree, method):
     prepared, _, campaign = bench_tree
     training, _ = campaign.split_training_target()

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""10k-link phase-1 bench: sparse solvers vs the dense Gram matrix.
+"""10k-link phase-1 bench: the sparse normal equations vs the dense Gram matrix.
 
 Solves the phase-1 system ``Sigma_hat* = A v`` over a topology from the
 repo's own generator at a scale — 10 000 virtual links by default —
@@ -8,18 +8,17 @@ where the historical dense normal-equation path would allocate an
 intersecting-pairs matrix of a ``tree_nodes = links + 1`` random tree
 (~10k paths, several million covariance equations); ``b`` is planted as
 ``A v_true`` plus observation noise, the shape phase 1 sees after
-covariance estimation and negative-equation filtering.  Each solver
+covariance estimation and negative-equation filtering.  Each solve
 runs in a fresh subprocess so ``ru_maxrss`` is an honest per-solver
 high-water mark, mirroring ``scripts/bench_store_memory.py``:
 
-* **sparse** — CSC ``A^T A`` + SuperLU (`repro.core.sparse_solvers.
-  solve_normal_sparse`), the path ``"wls"``/``"normal"`` auto-select
-  above the crossover;
-* **cg** — matrix-free Jacobi-preconditioned CG (`solve_normal_cg`),
-  which never forms the Gram matrix at all;
-* **normal-dense** — the historical dense path, run at
-  ``--verify-links`` (not the full size) both as a timing reference and
-  to assert the sparse solution matches it within 1e-8 relative error.
+* **sparse** — CSC ``A^T A`` + SuperLU
+  (`repro.core.variance.solve_normal_sparse`), the path
+  ``"wls"``/``"normal"`` take above ``SPARSE_AUTO_THRESHOLD`` columns;
+* **normal-dense** — the dense path ``"normal"`` takes below the
+  threshold, run at ``--verify-links`` (not the full size) both as a
+  timing reference and to assert the sparse solution matches it within
+  1e-8 relative error.
 
 The report prints build time, solve time, peak RSS and the relative
 error versus the planted ``v_true`` per solver; under GitHub Actions it
@@ -43,8 +42,8 @@ import subprocess
 import sys
 import time
 
-#: Child-mode solver names mapped to repro.core.variance._solve methods.
-SOLVERS = ("sparse", "cg", "normal-dense")
+#: Child-mode solve paths.
+SOLVERS = ("sparse", "normal-dense")
 
 
 def build_system(num_links: int, seed: int):
@@ -74,14 +73,14 @@ def build_system(num_links: int, seed: int):
 def run_child(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from repro.core.variance import _solve
+    from repro.core.variance import _solve, solve_normal_sparse
 
-    num_links = args.verify_links if args.mode == "normal-dense" else args.links
+    dense = args.mode == "normal-dense"
+    num_links = args.verify_links if dense else args.links
     A, b, v_true, build_seconds = build_system(num_links, args.seed)
-    method = "normal" if args.mode == "normal-dense" else args.mode
 
     start = time.perf_counter()
-    v = _solve(A.tocsr(), b, method)
+    v = _solve(A, b, "normal") if dense else solve_normal_sparse(A, b)
     elapsed = time.perf_counter() - start
 
     relative_error = float(np.linalg.norm(v - v_true) / np.linalg.norm(v_true))
@@ -108,11 +107,10 @@ def verify_agreement(args: argparse.Namespace) -> float:
     """In-process check: sparse equals dense 'normal' at a size both run."""
     import numpy as np
 
-    from repro.core.sparse_solvers import solve_normal_sparse
-    from repro.core.variance import _solve
+    from repro.core.variance import _solve, solve_normal_sparse
 
     A, b, _, _ = build_system(args.verify_links, args.seed)
-    dense = _solve(A.tocsr(), b, "normal")
+    dense = _solve(A, b, "normal")
     via_sparse = solve_normal_sparse(A, b)
     return float(np.linalg.norm(via_sparse - dense) / np.linalg.norm(dense))
 
@@ -176,8 +174,8 @@ def main(argv=None) -> int:
     dense_gram_mib = args.links * args.links * 8 / (1024.0 * 1024.0)
     print(
         f"a dense A^T A at {args.links} links would add {dense_gram_mib:.0f} "
-        "MiB on top of the system itself; the sparse factorization and the "
-        "matrix-free CG path never allocate it"
+        "MiB on top of the system itself; the sparse factorization never "
+        "allocates it"
     )
 
     summary = os.environ.get("GITHUB_STEP_SUMMARY")
@@ -202,8 +200,8 @@ def main(argv=None) -> int:
         lines += [
             "",
             f"A dense Gram matrix at this width would add "
-            f"**{dense_gram_mib:.0f} MiB**; the sparse paths never "
-            "allocate it.",
+            f"**{dense_gram_mib:.0f} MiB**; the sparse factorization "
+            "never allocates it.",
             "",
         ]
         with open(summary, "a", encoding="utf-8") as handle:

@@ -13,7 +13,7 @@ Five verbs covering the operational loop without writing Python:
     run one estimator (``--method lia|scfs|clink|tomo``, dispatched
     through the ``repro.api`` registry) on a campaign document and print
     the congested links it reports; ``--variance-solver`` picks LIA's
-    phase-1 solver (``sparse``/``cg`` for 10k-link meshes);
+    phase-1 estimator (``wls``, ``normal`` or ``nnls``);
 ``compare``
     run several estimators over one campaign document and print a
     side-by-side table of their verdicts per link;
@@ -41,7 +41,7 @@ Examples::
         --snapshots 11 --probes 300 --out congested.json
     python -m repro infer campaign.json --threshold 0.002
     python -m repro infer campaign.json --method scfs
-    python -m repro infer campaign.json --variance-solver sparse
+    python -m repro infer campaign.json --variance-solver normal
     python -m repro compare campaign.json --methods lia,scfs,tomo
     python -m repro experiments fig5 --scale small --jobs -1 \
         --cache-dir .repro-cache
@@ -94,9 +94,8 @@ METHOD_CHOICES = ("clink", "delay", "lia", "scfs", "tomo")
 LOSS_METHOD_CHOICES = ("clink", "lia", "scfs", "tomo")
 #: Static mirror of repro.core.variance.VARIANCE_METHODS (same
 #: no-heavy-imports rule as the registries above; pinned in sync by
-#: tests).  ``--variance-solver`` picks LIA's phase-1 solver; the
-#: ``sparse``/``cg`` entries keep 10k-link meshes out of dense algebra.
-VARIANCE_SOLVER_CHOICES = ("wls", "lsmr", "normal", "qr", "nnls", "sparse", "cg")
+#: tests).  ``--variance-solver`` picks LIA's phase-1 estimator.
+VARIANCE_SOLVER_CHOICES = ("wls", "normal", "nnls")
 
 
 def _unit_interval(value: str) -> float:
@@ -497,8 +496,9 @@ def build_parser() -> argparse.ArgumentParser:
             choices=VARIANCE_SOLVER_CHOICES,
             default="wls",
             help=(
-                "LIA phase-1 solver (repro.core.variance.VARIANCE_METHODS); "
-                "'sparse'/'cg' keep 10k-link systems out of dense algebra"
+                "LIA phase-1 estimator (repro.core.variance.VARIANCE_METHODS): "
+                "weighted least squares (default), the paper's unweighted "
+                "least squares, or non-negative least squares"
             ),
         )
 

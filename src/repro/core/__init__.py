@@ -23,16 +23,12 @@ from repro.core.reduction import (
     reduce_to_full_rank,
     solve_reduced_system,
 )
-from repro.core.sparse_solvers import (
-    SPARSE_AUTO_THRESHOLD,
-    solve_normal_cg,
-    solve_normal_sparse,
-)
 from repro.core.variance import (
+    SPARSE_AUTO_THRESHOLD,
     VARIANCE_METHODS,
     VarianceEstimate,
     estimate_link_variances,
-    solve_covariance_system,
+    solve_normal_sparse,
     variance_recovery_error,
 )
 
@@ -58,8 +54,6 @@ __all__ = [
     "pair_from_row_index",
     "pair_row_index",
     "reduce_to_full_rank",
-    "solve_covariance_system",
-    "solve_normal_cg",
     "solve_normal_sparse",
     "solve_reduced_system",
     "variance_recovery_error",

@@ -38,7 +38,7 @@ class LossInferenceAlgorithm:
     routing:
         The reduced routing matrix (Section 3.1 object).
     variance_method:
-        Phase-1 solver, see :data:`repro.core.variance.VARIANCE_METHODS`.
+        Phase-1 estimator, see :data:`repro.core.variance.VARIANCE_METHODS`.
     reduction_strategy:
         Phase-2 column selection: ``"threshold"`` (default), ``"gap"``,
         ``"paper"`` or ``"greedy"`` — see :mod:`repro.core.reduction`.

@@ -2,8 +2,8 @@
 
 The paper solves its linear systems "using Householder reflection to
 compute an orthogonal-triangular factorization" (Golub & Van Loan).  We
-implement that QR least-squares path explicitly — it is the reference
-solver for both phases — plus the incremental Gram–Schmidt column
+implement that Householder QR explicitly — the phase-2 ``R*``
+factorization can run on it — plus the incremental Gram–Schmidt column
 selector used by the fast full-rank reduction strategy.  Everything is
 cross-checked against numpy/scipy in the test suite.
 
@@ -154,20 +154,6 @@ def back_substitution(upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return _back_substitution_loop(
         np.ascontiguousarray(U), np.ascontiguousarray(b), tol
     )
-
-
-def solve_least_squares_qr(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Least-squares solution of ``matrix @ x ~= rhs`` via Householder QR.
-
-    The paper's phase-1/phase-2 solver (O(n_p^2 n_c^2 - n_c^3 / 3) there;
-    same complexity class here, now with the blocked kernel).
-    """
-    A = np.asarray(matrix, dtype=np.float64)
-    b = np.asarray(rhs, dtype=np.float64)
-    if A.shape[0] != b.shape[0]:
-        raise ValueError("matrix and rhs row counts differ")
-    Q, R = householder_qr(A)
-    return back_substitution(R, Q.T @ b)
 
 
 @dataclass(frozen=True)

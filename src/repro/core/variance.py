@@ -6,7 +6,7 @@ column rank, so the least-squares solution is unique; the estimator is a
 special case of the generalised method of moments (consistent, no
 distributional assumption, no iterative MLE).
 
-Seven interchangeable solvers:
+Three estimators:
 
 ``"wls"`` (default)
     feasible generalised least squares: each covariance equation is
@@ -17,36 +17,29 @@ Seven interchangeable solvers:
     than those crossing congested links; weighting them up sharpens the
     good/congested variance separation dramatically on meshes.  This is
     the efficient-GMM refinement of the paper's estimator.
-``"lsmr"``
-    unweighted sparse iterative least squares (the paper's plain LS, at
-    scale).
 ``"normal"``
-    dense normal equations ``A^T A v = A^T s`` assembled from the sparse
-    rows (exact, fast when ``n_c`` is moderate).
-``"qr"``
-    the paper's dense Householder QR (reference implementation).
+    the paper's unweighted least squares.
 ``"nnls"``
     non-negative least squares — variances are non-negative by
     definition, so projecting onto the feasible set is a natural
     extension (ablated in the benchmarks).
-``"sparse"``
-    exact normal equations with the Gram matrix kept sparse and
-    factorized via SuperLU (:mod:`repro.core.sparse_solvers`) — the
-    scalable analogue of ``"normal"`` for 10k-link meshes.
-``"cg"``
-    Jacobi-preconditioned conjugate gradients on the normal equations,
-    matrix-free — for systems where even the sparse Gram factor is too
-    large.
 
-``"wls"`` and ``"normal"`` route onto the sparse factorization
-automatically once the system is wider than
-:data:`repro.core.sparse_solvers.SPARSE_AUTO_THRESHOLD` columns; below
-it the historical dense path runs unchanged.
+``"wls"`` and ``"normal"`` share one solve path, the normal equations
+``A^T A v = A^T s``.  Up to :data:`SPARSE_AUTO_THRESHOLD` columns the
+Gram matrix is assembled densely; above it a dense ``n_c x n_c`` array
+is the memory bottleneck (10k links means 800 MB before factorizing),
+so the Gram matrix stays sparse and goes to SuperLU
+(:func:`solve_normal_sparse`).  Both add the same tiny Tikhonov ridge,
+so they agree to solver precision.  Unlike an iterative solver, neither
+degrades with the conditioning the WLS weights introduce, and where
+filtering costs column rank both land on the minimum-norm solution.
 
 Equations with negative sample covariance are dropped first, as in the
-paper.  The filtering, WLS row scaling, underdetermined-system guard and
-residual bookkeeping live in :func:`solve_covariance_system`, which the
-delay layer shares so the two phase-1 implementations cannot drift.
+paper.  :func:`estimate_link_variances_from_moments` owns the filter,
+the WLS weighting, the underdetermined-system guard and the residual
+bookkeeping; the loss layer (:func:`estimate_link_variances`), the delay
+layer and the online monitor all reach phase 1 through it, so they
+cannot drift apart.
 """
 
 from __future__ import annotations
@@ -58,17 +51,26 @@ import numpy as np
 from scipy import optimize, sparse
 from scipy.sparse import linalg as sparse_linalg
 
-from repro.core import sparse_solvers
 from repro.core.augmented import IntersectingPairs, intersecting_pairs
 from repro.core.covariance import (
     CovarianceSummary,
     negative_pair_mask,
     sample_covariance_pairs,
 )
-from repro.core.linalg import solve_least_squares_qr
 from repro.probing.snapshot import MeasurementCampaign
 
-VARIANCE_METHODS = ("wls", "lsmr", "normal", "qr", "nnls", "sparse", "cg")
+VARIANCE_METHODS = ("wls", "normal", "nnls")
+
+#: Column count above which the normal equations stay sparse
+#: (:func:`solve_normal_sparse`) instead of being assembled densely.
+#: Every topology the experiment presets generate stays below it, so
+#: their payloads never change solver; CI's 10k-link phase-1 bench runs
+#: above it.  Read at call time, so tests can move the crossover.
+SPARSE_AUTO_THRESHOLD = 4096
+
+#: The tiny-Tikhonov scale of both normal-equation paths
+#: (``ridge = RIDGE_SCALE * trace(A^T A) / n_c``).
+RIDGE_SCALE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -77,9 +79,10 @@ class VarianceEstimate:
 
     ``residual_norm`` is always the residual of the *unweighted* system
     ``||A v - sigma||`` over the equations that survived filtering, so it
-    is comparable across every solver; for ``"wls"`` the residual of the
-    row-scaled system the solver actually minimised is exposed separately
-    as ``weighted_residual_norm`` (``None`` for unweighted methods).
+    is comparable across every estimator; for ``"wls"`` the residual of
+    the row-scaled system the solver actually minimised is exposed
+    separately as ``weighted_residual_norm`` (``None`` for unweighted
+    methods).
     """
 
     variances: np.ndarray
@@ -95,16 +98,6 @@ class VarianceEstimate:
     def order_by_variance(self) -> np.ndarray:
         """Column indices sorted by increasing variance (phase-2 input)."""
         return np.argsort(self.variances, kind="stable")
-
-
-@dataclass(frozen=True)
-class Phase1Solution:
-    """The solved system plus residual diagnostics (shared back end)."""
-
-    variances: np.ndarray
-    residual_norm: float
-    weighted_residual_norm: Optional[float]
-    num_equations: int
 
 
 def estimate_link_variances(
@@ -140,113 +133,14 @@ def estimate_link_variances(
     if pairs is None:
         pairs = intersecting_pairs(campaign.routing.matrix)
     log_matrix = campaign.log_matrix(floor)
-    sigma = sample_covariance_pairs(log_matrix, pairs.pair_i, pairs.pair_j)
-
-    summary = CovarianceSummary(
-        num_snapshots=len(campaign),
-        num_pairs=pairs.num_pairs,
-        num_negative=int(negative_pair_mask(sigma).sum()),
-    )
-    weights = None
-    if method == "wls":
-        weights = _equation_weights(log_matrix, pairs, sigma)
-    solution = solve_covariance_system(
-        pairs.matrix, sigma, method=method, weights=weights,
+    return estimate_link_variances_from_moments(
+        pairs,
+        sample_covariance_pairs(log_matrix, pairs.pair_i, pairs.pair_j),
+        log_matrix.var(axis=0, ddof=1),
+        len(campaign),
+        method=method,
         drop_negative=drop_negative,
     )
-    return VarianceEstimate(
-        variances=solution.variances,
-        method=method,
-        covariance_summary=summary,
-        residual_norm=solution.residual_norm,
-        weighted_residual_norm=solution.weighted_residual_norm,
-    )
-
-
-def solve_covariance_system(
-    matrix: sparse.csr_matrix,
-    sigma: np.ndarray,
-    method: str = "wls",
-    weights: Optional[np.ndarray] = None,
-    drop_negative: bool = True,
-) -> Phase1Solution:
-    """Shared phase-1 back end: filter, weight, solve, residuals.
-
-    Both the loss layer (log-rate covariances) and the delay layer
-    (delay covariances) reduce to the same overdetermined system
-    ``sigma = A v``; this helper owns the negative-equation filter, the
-    WLS row scaling, the underdetermined-system guard and the residual
-    bookkeeping so the two cannot drift apart.  *matrix* is the sparse
-    augmented matrix (``IntersectingPairs.matrix``) and *weights*, when
-    given, scales each equation before the solve (already filtered
-    equations drop their weights too).
-    """
-    if method not in VARIANCE_METHODS:
-        raise ValueError(f"unknown method {method!r}, want one of {VARIANCE_METHODS}")
-    keep = None
-    if drop_negative:
-        negative = negative_pair_mask(sigma)
-        if negative.any():
-            keep = ~negative
-    plain = matrix if keep is None else matrix[keep]
-    target = sigma if keep is None else sigma[keep]
-    if plain.shape[0] < plain.shape[1]:
-        raise ValueError(
-            f"after filtering, {plain.shape[0]} equations remain for "
-            f"{plain.shape[1]} unknowns; take more snapshots or keep negatives"
-        )
-    if weights is not None:
-        kept_weights = weights if keep is None else weights[keep]
-        A = sparse.diags(kept_weights) @ plain
-        b = kept_weights * target
-    else:
-        A, b = plain, target
-
-    v = _solve(A, b, method)
-    residual = float(np.linalg.norm(plain @ v - target))
-    weighted_residual = (
-        float(np.linalg.norm(A @ v - b)) if weights is not None else None
-    )
-    return Phase1Solution(
-        variances=v,
-        residual_norm=residual,
-        weighted_residual_norm=weighted_residual,
-        num_equations=int(plain.shape[0]),
-    )
-
-
-def _equation_weights(
-    measurements: np.ndarray, pairs: IntersectingPairs, sigma: np.ndarray
-) -> np.ndarray:
-    """Square-root inverse sampling variance of each covariance equation.
-
-    ``var(Sigma_hat_ij) ~= (Sigma_ii Sigma_jj + Sigma_ij^2) / (m - 1)``;
-    the per-path variances are taken from the sample (*measurements* is
-    the ``(m, n_p)`` matrix the covariances were computed from — log
-    rates for the loss layer, raw delays for the delay layer).  Floored
-    so that perfectly quiet path pairs (zero sample variance) cannot
-    produce infinite weights.
-    """
-    return _equation_weights_from_moments(
-        measurements.var(axis=0, ddof=1),
-        pairs,
-        sigma,
-        measurements.shape[0],
-    )
-
-
-def _equation_weights_from_moments(
-    path_variances: np.ndarray,
-    pairs: IntersectingPairs,
-    sigma: np.ndarray,
-    num_snapshots: int,
-) -> np.ndarray:
-    """:func:`_equation_weights` from pre-computed per-path variances."""
-    eq_var = (
-        path_variances[pairs.pair_i] * path_variances[pairs.pair_j] + sigma**2
-    ) / max(num_snapshots - 1, 1)
-    floor = max(float(eq_var.max()) * 1e-9, 1e-30)
-    return 1.0 / np.sqrt(np.maximum(eq_var, floor))
 
 
 def estimate_link_variances_from_moments(
@@ -257,15 +151,16 @@ def estimate_link_variances_from_moments(
     method: str = "wls",
     drop_negative: bool = True,
 ) -> VarianceEstimate:
-    """Phase 1 from pre-computed window moments (the streaming path).
+    """Phase 1 from the window moments: filter, weight, solve, residuals.
 
-    A rolling monitor maintains per-equation covariance sums
-    incrementally — O(pairs) per snapshot — instead of re-reading the
-    whole window; this entry point runs the same filtering, weighting
-    and solve as :func:`estimate_link_variances` on those moments
-    without ever materialising the ``(m, n_p)`` measurement matrix.
-    *sigma* is the per-pair sample covariance vector (entry order
-    matching *pairs*), *path_variances* the per-path sample variances.
+    *pairs* gives the sparse augmented matrix ``A``, *sigma* the
+    per-pair sample covariance vector (entry order matching *pairs*),
+    *path_variances* the per-path sample variances and *num_snapshots*
+    the window length ``m`` they were computed over.  A rolling monitor
+    maintains these incrementally — O(pairs) per snapshot — and the
+    batch and delay layers compute them from their measurement matrix
+    (log rates for loss, raw delays for delay), so every phase-1 caller
+    runs this one body.
     """
     if method not in VARIANCE_METHODS:
         raise ValueError(f"unknown method {method!r}, want one of {VARIANCE_METHODS}")
@@ -274,67 +169,101 @@ def estimate_link_variances_from_moments(
     sigma = np.asarray(sigma, dtype=np.float64)
     if sigma.shape != (pairs.num_pairs,):
         raise ValueError("one covariance per intersecting pair required")
+    negative = negative_pair_mask(sigma)
     summary = CovarianceSummary(
         num_snapshots=num_snapshots,
         num_pairs=pairs.num_pairs,
-        num_negative=int(negative_pair_mask(sigma).sum()),
+        num_negative=int(negative.sum()),
     )
-    weights = None
+    keep = ~negative if drop_negative and negative.any() else None
+    plain = pairs.matrix if keep is None else pairs.matrix[keep]
+    target = sigma if keep is None else sigma[keep]
+    if plain.shape[0] < plain.shape[1]:
+        raise ValueError(
+            f"after filtering, {plain.shape[0]} equations remain for "
+            f"{plain.shape[1]} unknowns; take more snapshots or keep negatives"
+        )
     if method == "wls":
-        weights = _equation_weights_from_moments(
+        weights = _wls_weights(
             np.asarray(path_variances, dtype=np.float64),
             pairs,
             sigma,
             num_snapshots,
         )
-    solution = solve_covariance_system(
-        pairs.matrix, sigma, method=method, weights=weights,
-        drop_negative=drop_negative,
-    )
+        if keep is not None:
+            weights = weights[keep]
+        A = sparse.diags(weights) @ plain
+        b = weights * target
+    else:
+        A, b = plain, target
+
+    v = _solve(A, b, method)
     return VarianceEstimate(
-        variances=solution.variances,
+        variances=v,
         method=method,
         covariance_summary=summary,
-        residual_norm=solution.residual_norm,
-        weighted_residual_norm=solution.weighted_residual_norm,
+        residual_norm=float(np.linalg.norm(plain @ v - target)),
+        weighted_residual_norm=(
+            float(np.linalg.norm(A @ v - b)) if method == "wls" else None
+        ),
     )
 
 
-def _solve(A: sparse.csr_matrix, b: np.ndarray, method: str) -> np.ndarray:
-    if method == "lsmr":
-        # Weighting can make the system badly conditioned; give the
-        # iteration enough budget to actually converge.
-        result = sparse_linalg.lsmr(
-            A, b, atol=1e-13, btol=1e-13, conlim=1e14,
-            maxiter=max(20 * A.shape[1], 2000),
-        )
-        return np.asarray(result[0], dtype=np.float64)
-    if method in ("normal", "wls"):
-        if sparse_solvers.use_sparse_normal(A.shape[1]):
-            # Above the crossover a dense Gram matrix is the memory
-            # bottleneck; the sparse factorization solves the identically
-            # regularized system.
-            return sparse_solvers.solve_normal_sparse(A, b)
-        # Exact normal equations.  n_c x n_c stays dense-friendly into the
-        # thousands, and unlike iterative solvers the answer does not
-        # degrade with the conditioning the WLS weights introduce.
-        AtA = (A.T @ A).toarray()
-        Atb = A.T @ b
-        # Tiny Tikhonov term guards against numerically repeated columns;
-        # Theorem 1 makes AtA nonsingular in exact arithmetic.
-        ridge = 1e-10 * np.trace(AtA) / max(AtA.shape[0], 1)
-        return np.linalg.solve(AtA + ridge * np.eye(AtA.shape[0]), Atb)
-    if method == "sparse":
-        return sparse_solvers.solve_normal_sparse(A, b)
-    if method == "cg":
-        return sparse_solvers.solve_normal_cg(A, b)
-    if method == "qr":
-        return solve_least_squares_qr(A.toarray(), b)
+def _wls_weights(
+    path_variances: np.ndarray,
+    pairs: IntersectingPairs,
+    sigma: np.ndarray,
+    num_snapshots: int,
+) -> np.ndarray:
+    """Square-root inverse sampling variance of each covariance equation.
+
+    ``var(Sigma_hat_ij) ~= (Sigma_ii Sigma_jj + Sigma_ij^2) / (m - 1)``,
+    with the per-path variances taken from the sample.  Floored so that
+    perfectly quiet path pairs (zero sample variance) cannot produce
+    infinite weights.
+    """
+    eq_var = (
+        path_variances[pairs.pair_i] * path_variances[pairs.pair_j] + sigma**2
+    ) / max(num_snapshots - 1, 1)
+    floor = max(float(eq_var.max()) * 1e-9, 1e-30)
+    return 1.0 / np.sqrt(np.maximum(eq_var, floor))
+
+
+def _solve(A: sparse.spmatrix, b: np.ndarray, method: str) -> np.ndarray:
     if method == "nnls":
-        dense = A.toarray()
-        solution, _ = optimize.nnls(dense, b)
+        solution, _ = optimize.nnls(A.toarray(), b)
         return solution
-    raise AssertionError(f"unreachable method {method}")
+    if A.shape[1] > SPARSE_AUTO_THRESHOLD:
+        return solve_normal_sparse(A, b)
+    # Exact normal equations.  n_c x n_c stays dense-friendly into the
+    # thousands, and unlike iterative solvers the answer does not
+    # degrade with the conditioning the WLS weights introduce.
+    AtA = (A.T @ A).toarray()
+    Atb = A.T @ b
+    # Tiny Tikhonov term guards against numerically repeated columns;
+    # Theorem 1 makes AtA nonsingular in exact arithmetic.
+    ridge = RIDGE_SCALE * np.trace(AtA) / max(AtA.shape[0], 1)
+    return np.linalg.solve(AtA + ridge * np.eye(AtA.shape[0]), Atb)
+
+
+def solve_normal_sparse(A: sparse.spmatrix, b: np.ndarray) -> np.ndarray:
+    """Solve ``A^T A v = A^T b`` keeping the Gram matrix sparse.
+
+    The CSC ``A^T A`` goes straight into a SuperLU factorization (a
+    sparse Cholesky in effect, since the matrix is SPD); no dense
+    ``n_c x n_c`` array is ever materialized, so memory follows the
+    factor fill-in.  The ridge matches the dense path's
+    (``sum(diag(A^T A)) == trace(A^T A)``), so where both run they agree
+    to solver precision (~1e-12 relative on well-conditioned meshes).
+    """
+    A = A.tocsr()
+    b = np.asarray(b, dtype=np.float64)
+    gram = (A.T @ A).tocsc()
+    ridge = float(RIDGE_SCALE * gram.diagonal().sum() / max(gram.shape[0], 1))
+    if ridge > 0.0:
+        gram = gram + ridge * sparse.identity(gram.shape[0], format="csc")
+    lu = sparse_linalg.splu(gram.tocsc())
+    return np.asarray(lu.solve(A.T @ b), dtype=np.float64)
 
 
 def variance_recovery_error(

@@ -24,8 +24,7 @@ from repro.core.covariance import sample_covariance_pairs
 from repro.core.engine import FactorizationCache, ReductionCache
 from repro.core.variance import (
     VARIANCE_METHODS,
-    _equation_weights,
-    solve_covariance_system,
+    estimate_link_variances_from_moments,
 )
 from repro.delay.prober import DelayCampaign, DelaySnapshot
 from repro.topology.routing import RoutingMatrix
@@ -70,11 +69,10 @@ class DelayInferenceAlgorithm:
         sits far above jitter-induced estimation noise for S >= 100 yet
         two orders below the mildest Gamma queue of the default model.
     variance_method:
-        Phase-1 solver, see :data:`repro.core.variance.VARIANCE_METHODS`
+        Phase-1 estimator, see :data:`repro.core.variance.VARIANCE_METHODS`
         — the delay layer solves the same ``Sigma_hat* = A v`` system
-        through the same back end as the loss layer, so the sparse
-        solvers (``"sparse"``, ``"cg"``) and the automatic dense→sparse
-        crossover apply here too.
+        through the same phase-1 body as the loss layer, so the
+        automatic dense→sparse crossover applies here too.
     """
 
     def __init__(
@@ -107,32 +105,30 @@ class DelayInferenceAlgorithm:
     # -- phase 1 -----------------------------------------------------------
 
     def learn_variances(self, training: DelayCampaign) -> DelayVarianceEstimate:
-        """Solve ``Sigma_hat* = A v`` for delay variances (shared back end).
+        """Solve ``Sigma_hat* = A v`` for delay variances.
 
-        Delegates to the loss layer's
-        :func:`repro.core.variance.solve_covariance_system` — the same
-        negative-equation filter, WLS weighting
-        (:func:`~repro.core.variance._equation_weights`, which this
-        module used to carry as a drifted copy), underdetermined-system
-        guard and solver dispatch — with raw delays in place of log
-        rates.  A campaign whose surviving equations cannot determine
-        ``v`` (e.g. every cross-path covariance negative) raises the
-        same clear ``ValueError`` the loss layer does instead of
-        crashing inside a degenerate dense solve.
+        Runs the loss layer's phase-1 body,
+        :func:`repro.core.variance.estimate_link_variances_from_moments`
+        — the same negative-equation filter, WLS weighting,
+        underdetermined-system guard and solve — on the moments of the
+        raw delays in place of log rates.  A campaign whose surviving
+        equations cannot determine ``v`` (e.g. every cross-path
+        covariance negative) raises the same clear ``ValueError`` the
+        loss layer does.
         """
         if len(training) < 2:
             raise ValueError("need at least two training snapshots")
         Y = training.delay_matrix()
         pairs = self.pairs
-        sigma = sample_covariance_pairs(Y, pairs.pair_i, pairs.pair_j)
-        weights = None
-        if self.variance_method == "wls":
-            weights = _equation_weights(Y, pairs, sigma)
-        solution = solve_covariance_system(
-            pairs.matrix, sigma, method=self.variance_method, weights=weights
+        estimate = estimate_link_variances_from_moments(
+            pairs,
+            sample_covariance_pairs(Y, pairs.pair_i, pairs.pair_j),
+            Y.var(axis=0, ddof=1),
+            len(training),
+            method=self.variance_method,
         )
         return DelayVarianceEstimate(
-            variances=solution.variances,
+            variances=estimate.variances,
             num_snapshots=len(training),
             path_means=Y.mean(axis=0),
         )

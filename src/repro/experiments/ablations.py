@@ -4,10 +4,10 @@ Not a paper table — this sweeps the implementation's own knobs on one
 fixed workload (tree, LLRD1, p = 10 %) so the trade-offs are documented
 with numbers:
 
-* phase-1 solver: wls / lsmr / normal / qr / nnls / sparse / cg (the
-  ``variance=wls`` row re-measures the default solver on the shared
-  ablation grid so the baseline everything else uses is itself in the
-  table, not only in the composite first row);
+* phase-1 estimator: wls / normal / nnls (the ``variance=wls`` row
+  re-measures the default on the shared ablation grid so the baseline
+  everything else uses is itself in the table, not only in the
+  composite first row);
 * phase-2 reduction: gap / paper / greedy;
 * simulator fidelity: packet / flow;
 * loss process: Gilbert / Bernoulli (the paper's "differences are
@@ -26,6 +26,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.core.variance import VARIANCE_METHODS
 from repro.experiments.base import (
     ExperimentResult,
     execute_trials,
@@ -38,19 +39,15 @@ from repro.lossmodel import BernoulliProcess
 from repro.runner import ParallelRunner, TrialSpec
 from repro.utils.tables import TextTable
 
-# The full canonical solver grid from repro.core, *including* the
-# default "wls" (historically omitted, so the solver ablation never
-# measured the solver everything else uses) and the sparse solvers.
-# Existing labels keep their exact spelling and payload keys so cached
-# trials stay valid; the new labels only append rows.
-ABLATED_VARIANCE_METHODS = ("wls", "lsmr", "normal", "qr", "nnls", "sparse", "cg")
 ABLATED_REDUCTION_STRATEGIES = ("gap", "paper", "greedy")
 
 
 def variant_labels() -> List[str]:
     """The ablation grid, in presentation order."""
     labels = ["default (wls+threshold)"]
-    labels.extend(f"variance={m}" for m in ABLATED_VARIANCE_METHODS)
+    # Every phase-1 estimator, *including* the default "wls", so the
+    # ablation measures the estimator everything else uses.
+    labels.extend(f"variance={m}" for m in VARIANCE_METHODS)
     labels.extend(f"reduction={s}" for s in ABLATED_REDUCTION_STRATEGIES)
     labels.append("fidelity=flow")
     labels.append("process=bernoulli")
@@ -74,15 +71,12 @@ def _variant_overrides(label: str) -> dict:
 def trial(spec: TrialSpec) -> dict:
     """One (variant, repetition) scenario on the fixed tree workload.
 
-    Every variant now runs the full tree size for its scale, so solver
-    rows are finally comparable like-for-like with the rest of the
-    table: with :mod:`repro.core.sparse_solvers` in place the Gram-based
-    solvers scale without per-variant sizing, and the dense *reference*
-    rows (``qr``/``nnls``, which densify ``A`` by definition) are a
-    measured, bounded cost — ~60 s and ~80 s per trial on a ~600 MiB
-    dense ``A`` at paper scale, a small slice of a paper-scale ablation
-    campaign — rather than a reason to measure them on a different
-    workload than everything else.
+    Every variant runs the full tree size for its scale, so estimator
+    rows compare like-for-like with the rest of the table.  The
+    ``nnls`` row densifies ``A`` by definition; that is a measured,
+    bounded cost (~80 s per trial on a ~600 MiB dense ``A`` at paper
+    scale) rather than a reason to measure it on a different workload
+    than everything else.
     """
     label = spec.params["variant"]
     p = scale_params(spec.params["scale"])

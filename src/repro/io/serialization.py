@@ -23,9 +23,10 @@ Format (documented, versioned)::
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path as FilePath
-from typing import Dict, List, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -63,11 +64,20 @@ def network_to_dict(network: Network) -> Dict:
 
 
 def network_from_dict(payload: Dict) -> Network:
+    num_nodes = _integer(_field(payload, "nodes", "network"), "network.nodes")
     network = Network()
-    for node in range(int(payload["nodes"])):
+    for node in range(num_nodes):
         network.add_node(node)
-    for tail, head in payload["links"]:
-        network.add_link(int(tail), int(head))
+    for index, entry in enumerate(_list(payload, "links", "network")):
+        at = f"network.links[{index}]"
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            raise ValueError(f"{at} must be a [tail, head] pair, got {entry!r}")
+        tail = _integer(entry[0], f"{at}[0]", bound=num_nodes)
+        head = _integer(entry[1], f"{at}[1]", bound=num_nodes)
+        try:
+            network.add_link(tail, head)
+        except ValueError as error:
+            raise ValueError(f"{at}: {error}") from None
     return network
 
 
@@ -83,17 +93,25 @@ def paths_to_list(paths: Sequence[Path]) -> List[Dict]:
 
 
 def paths_from_list(payload: Sequence[Dict], network: Network) -> List[Path]:
+    if not isinstance(payload, (list, tuple)):
+        raise ValueError(f"paths must be a list, got {type(payload).__name__}")
     paths: List[Path] = []
     for index, entry in enumerate(payload):
-        links = tuple(network.link(int(i)) for i in entry["links"])
-        paths.append(
-            Path(
-                index=index,
-                source=int(entry["source"]),
-                dest=int(entry["dest"]),
-                links=links,
+        at = f"paths[{index}]"
+        links = tuple(
+            network.link(
+                _integer(link, f"{at}.links[{k}]", bound=network.num_links)
             )
+            for k, link in enumerate(_list(entry, "links", at))
         )
+        source = _integer(_field(entry, "source", at), f"{at}.source")
+        dest = _integer(_field(entry, "dest", at), f"{at}.dest")
+        try:
+            paths.append(
+                Path(index=index, source=source, dest=dest, links=links)
+            )
+        except ValueError as error:
+            raise ValueError(f"{at}: {error}") from None
     return paths
 
 
@@ -115,30 +133,84 @@ def document_to_dict(document: CampaignDocument) -> Dict:
 
 
 def document_from_dict(payload: Dict) -> CampaignDocument:
+    """Load a campaign document, rejecting malformed input.
+
+    Every defect — a missing field, a wrong type, a fractional count, an
+    index outside its list, a node id the network does not have —
+    raises a ``ValueError`` naming the field, never some other exception
+    and never a silently coerced value.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(
+            f"a campaign document must be a JSON object, got {type(payload).__name__}"
+        )
     tag = payload.get("format")
     if tag != FORMAT_TAG:
         raise ValueError(f"unsupported document format {tag!r}")
-    network = network_from_dict(payload["network"])
-    paths = paths_from_list(payload["paths"], network)
-    snapshots = [
-        Snapshot(
-            path_transmission=np.asarray(
-                entry["path_transmission"], dtype=np.float64
-            ),
-            num_probes=int(entry["num_probes"]),
-        )
-        for entry in payload["snapshots"]
-    ]
-    for snap in snapshots:
-        if snap.num_paths != len(paths):
-            raise ValueError("snapshot width does not match path count")
+    network = network_from_dict(_field(payload, "network", "document"))
+    paths = paths_from_list(_field(payload, "paths", "document"), network)
+    snapshots = []
+    for index, entry in enumerate(_list(payload, "snapshots", "document")):
+        at = f"snapshots[{index}]"
+        rates = _rates(_field(entry, "path_transmission", at), f"{at}.path_transmission")
+        if rates.shape[0] != len(paths):
+            raise ValueError(
+                f"{at}: snapshot width {rates.shape[0]} does not match "
+                f"path count {len(paths)}"
+            )
+        num_probes = _integer(_field(entry, "num_probes", at), f"{at}.num_probes")
+        try:
+            snapshots.append(Snapshot(path_transmission=rates, num_probes=num_probes))
+        except ValueError as error:
+            raise ValueError(f"{at}: {error}") from None
     return CampaignDocument(
         network=network,
-        beacons=[int(b) for b in payload["beacons"]],
-        destinations=[int(d) for d in payload["destinations"]],
+        beacons=[
+            _integer(b, f"beacons[{k}]", bound=network.num_nodes)
+            for k, b in enumerate(_list(payload, "beacons", "document"))
+        ],
+        destinations=[
+            _integer(d, f"destinations[{k}]", bound=network.num_nodes)
+            for k, d in enumerate(_list(payload, "destinations", "document"))
+        ],
         paths=paths,
         snapshots=snapshots,
     )
+
+
+def _field(payload, key: str, where: str):
+    """``payload[key]``, or a ValueError naming what is missing where."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"{where} must be an object, got {type(payload).__name__}")
+    if key not in payload:
+        raise ValueError(f"{where} is missing the {key!r} field")
+    return payload[key]
+
+
+def _list(payload, key: str, where: str) -> Sequence:
+    value = _field(payload, key, where)
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{where}.{key} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _integer(value, field: str, bound: Optional[int] = None) -> int:
+    """A non-negative integer (below *bound*, when given); no coercion."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    if value < 0 or (bound is not None and value >= bound):
+        limit = "a non-negative integer" if bound is None else f"in [0, {bound})"
+        raise ValueError(f"{field} must be {limit}, got {value}")
+    return int(value)
+
+
+def _rates(values, field: str) -> np.ndarray:
+    """A one-dimensional numeric array (the range check is Snapshot's)."""
+    if isinstance(values, (list, tuple)) and all(
+        isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values
+    ):
+        return np.asarray(values, dtype=np.float64)
+    raise ValueError(f"{field} must be a list of numbers")
 
 
 def save_campaign(

@@ -4,14 +4,21 @@ The blocked Householder QR and the array-backed incremental basis in
 :mod:`repro.core.linalg` reorder floating-point sums relative to the
 original one-reflection-per-column and modified-Gram–Schmidt loops.
 Those loops live here, verbatim, so the equivalence tests can pin the
-fast paths to them; nothing outside the test suite calls them.
+fast paths to them.  The paper's Householder least-squares solve and the
+seed's minimum-norm phase-2 solve live here too: the library solves both
+LIA phases another way, and the tests keep them as references.  Nothing
+outside the test suite calls these.
 """
 
 from typing import List, Tuple
 
 import numpy as np
 
-from repro.core.linalg import IncrementalColumnBasis
+from repro.core.linalg import (
+    IncrementalColumnBasis,
+    back_substitution,
+    householder_qr,
+)
 
 
 def householder_qr_reference(
@@ -63,3 +70,29 @@ def try_add_reference(basis: IncrementalColumnBasis, column: np.ndarray) -> bool
     if norm1 <= basis.rel_tol * norm0:
         return False
     return basis._accept(v, norm1)
+
+
+def solve_least_squares_qr(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Least-squares solution of ``matrix @ x ~= rhs`` via Householder QR.
+
+    The paper's phase-1/phase-2 solver (O(n_p^2 n_c^2 - n_c^3 / 3) there;
+    same complexity class here, on the blocked kernel).  On a
+    rank-deficient matrix it returns *a* least-squares solution, not the
+    minimum-norm one.
+    """
+    A = np.asarray(matrix, dtype=np.float64)
+    b = np.asarray(rhs, dtype=np.float64)
+    if A.shape[0] != b.shape[0]:
+        raise ValueError("matrix and rhs row counts differ")
+    Q, R = householder_qr(A)
+    return back_substitution(R, Q.T @ b)
+
+
+def reduced_lstsq(routing_matrix, path_log_rates, kept_columns) -> np.ndarray:
+    """The seed's phase-2 solve: minimum-norm lstsq on ``R*``, clipped to
+    ``<= 0`` and re-embedded with removed columns at ``log 1 = 0``."""
+    R = np.asarray(routing_matrix, dtype=np.float64)
+    x_star, *_ = np.linalg.lstsq(R[:, kept_columns], path_log_rates, rcond=None)
+    x_full = np.zeros(R.shape[1])
+    x_full[kept_columns] = np.minimum(x_star, 0.0)
+    return x_full

@@ -52,15 +52,19 @@ class TestSimulateInfer:
             ]
         )
         capsys.readouterr()
-        for solver in ("sparse", "cg"):
+        for solver in ("normal", "nnls"):
             code = main(["infer", str(doc), "--variance-solver", solver])
             assert code == 0
             assert "trained on 11 snapshots" in capsys.readouterr().out
         code = main(
             ["compare", str(doc), "--methods", "lia", "--variance-solver",
-             "sparse"]
+             "normal"]
         )
         assert code == 0
+        # The deleted solver spellings are usage errors, not silent aliases.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["infer", str(doc), "--variance-solver", "cg"])
+        assert excinfo.value.code == 2
 
     def test_infer_finds_congested(self, tmp_path, capsys):
         doc = tmp_path / "campaign.json"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from oracles import reduced_lstsq
 from repro.core.covariance import CovarianceSummary
 from repro.core.engine import (
     CACHE_ENTRIES,
@@ -13,7 +14,7 @@ from repro.core.engine import (
     ReductionCache,
 )
 from repro.core.lia import LossInferenceAlgorithm
-from repro.core.reduction import reduce_to_full_rank, solve_reduced_system
+from repro.core.reduction import reduce_to_full_rank
 from repro.core.variance import VarianceEstimate
 from repro.probing.snapshot import MeasurementCampaign, Snapshot
 
@@ -452,11 +453,8 @@ class TestEngineInference:
         assert np.array_equal(
             result.reduction.kept_columns, reduction.kept_columns
         )
-        x = solve_reduced_system(
-            routing.matrix.astype(np.float64),
-            target.path_log_rates(),
-            reduction,
-            solver="lstsq",
+        x = reduced_lstsq(
+            routing.matrix, target.path_log_rates(), reduction.kept_columns
         )
         assert np.allclose(result.transmission_rates, np.exp(x), atol=1e-9)
 

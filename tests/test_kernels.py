@@ -9,7 +9,6 @@ one-column, rank-deficient, float32 input) included.
 import numpy as np
 import pytest
 from scipy import linalg as scipy_linalg
-from scipy import sparse
 
 from oracles import householder_qr_reference, try_add_reference
 from repro.core import kernels
@@ -20,7 +19,6 @@ from repro.core.linalg import (
     householder_qr,
     solve_upper_triangular,
 )
-from repro.core.sparse_solvers import solve_normal_cg, solve_normal_sparse
 
 
 def _back_substitution_oracle(U, b, tol):
@@ -160,14 +158,6 @@ class TestNumpyKernels:
         r[1, 1] = 0.0
         with pytest.raises(scipy_linalg.LinAlgError):
             solve_upper_triangular(r, np.ones(3))
-
-    def test_cg_without_fused_kernel_matches_sparse(self):
-        rng = np.random.default_rng(7)
-        A = sparse.random(60, 25, density=0.2, random_state=8, format="csr")
-        b = rng.normal(size=60)
-        cg = solve_normal_cg(A, b)
-        direct = solve_normal_sparse(A, b)
-        assert np.allclose(cg, direct, rtol=1e-8, atol=1e-10)
 
     def test_givens_insert_column_restores_factorization(self):
         A, r, q, position = _insert_column_state(seed=31)

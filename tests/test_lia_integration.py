@@ -14,6 +14,7 @@ from repro import (
 )
 from repro.lossmodel import LLRD1, LLRD2
 from repro.metrics import evaluate_location
+from repro.topology.routing import VirtualLink
 
 
 class TestTreePipeline:
@@ -112,20 +113,21 @@ def permute_paths(campaign, order):
     return MeasurementCampaign(permuted, snapshots)
 
 
+@pytest.fixture(scope="module")
+def mesh_campaign(small_mesh):
+    topo, paths, routing = small_mesh
+    sim = ProbingSimulator(
+        paths,
+        topo.network.num_links,
+        config=ProberConfig(
+            probes_per_snapshot=500, congestion_probability=0.10
+        ),
+    )
+    return sim.run_campaign(26, routing, seed=5)
+
+
 class TestPathPermutation:
     """Metamorphic relation: the order paths are listed in is not data."""
-
-    @pytest.fixture(scope="class")
-    def mesh_campaign(self, small_mesh):
-        topo, paths, routing = small_mesh
-        sim = ProbingSimulator(
-            paths,
-            topo.network.num_links,
-            config=ProberConfig(
-                probes_per_snapshot=500, congestion_probability=0.10
-            ),
-        )
-        return sim.run_campaign(26, routing, seed=5)
 
     @pytest.mark.parametrize("layout", ["tree", "mesh"])
     @pytest.mark.parametrize("order_seed", [0, 1])
@@ -148,6 +150,47 @@ class TestPathPermutation:
         assert np.array_equal(
             got.congested_links(LLRD1.threshold),
             expected.congested_links(LLRD1.threshold),
+        )
+        assert expected.congested_links(LLRD1.threshold).any()
+
+
+def relabel_links(campaign, order):
+    """*campaign* with its links relabelled: new column ``j`` is old
+    column ``order[j]``.  The paths and every measurement stay put."""
+    routing = campaign.routing
+    relabelled = RoutingMatrix(
+        routing.matrix[:, order],
+        routing.paths,
+        [
+            VirtualLink(column=j, members=routing.virtual_links[k].members)
+            for j, k in enumerate(order)
+        ],
+    )
+    return MeasurementCampaign(relabelled, list(campaign.snapshots))
+
+
+class TestLinkRelabelling:
+    """Metamorphic relation: relabelling links permutes the output."""
+
+    @pytest.mark.parametrize("layout", ["tree", "mesh"])
+    @pytest.mark.parametrize("order_seed", [0, 1])
+    def test_per_link_output_permuted(self, request, layout, order_seed):
+        campaign = request.getfixturevalue(
+            "tree_campaign" if layout == "tree" else "mesh_campaign"
+        )
+        routing = campaign.routing
+        order = np.random.default_rng(order_seed).permutation(routing.num_links)
+        assert not np.array_equal(order, np.arange(routing.num_links))
+        relabelled = relabel_links(campaign, order)
+
+        expected = LossInferenceAlgorithm(routing).run(campaign)
+        got = LossInferenceAlgorithm(relabelled.routing).run(relabelled)
+        np.testing.assert_allclose(
+            got.loss_rates, expected.loss_rates[order], rtol=0, atol=1e-12
+        )
+        assert np.array_equal(
+            got.congested_links(LLRD1.threshold),
+            expected.congested_links(LLRD1.threshold)[order],
         )
         assert expected.congested_links(LLRD1.threshold).any()
 

