@@ -12,9 +12,10 @@ import pytest
 
 from repro.core.augmented import intersecting_pairs
 from repro.core.lia import LossInferenceAlgorithm
-from repro.core.linalg import greedy_independent_columns, householder_qr
+from repro.core.linalg import greedy_independent_columns
 from repro.core.reduction import reduce_to_full_rank, solve_reduced_system
 from repro.core.variance import VARIANCE_METHODS, estimate_link_variances
+from tests.oracles import back_substitution_loop, householder_panel, householder_qr
 
 
 def test_build_intersecting_pairs(benchmark, bench_tree):
@@ -144,7 +145,7 @@ def test_mesh_infer_loop_warm(benchmark, bench_mesh, mesh_estimate):
 
 
 def test_mesh_householder_qr(benchmark, bench_mesh, mesh_estimate):
-    """Blocked Householder QR on the mesh's kept-column block."""
+    """Blocked Householder QR (the test oracle) on the mesh's kept-column block."""
     prepared, _, _ = bench_mesh
     reduction = reduce_to_full_rank(
         prepared.routing.matrix, mesh_estimate.variances, "paper"
@@ -167,7 +168,9 @@ def test_mesh_greedy_independent_columns(benchmark, bench_mesh, mesh_estimate):
 # -- kernel microbenches (repro.core.kernels) ---------------------------------
 #
 # Each sweep repeats one kernel loop over many campaign-scale-small
-# inputs, so per-iteration interpreter overhead dominates the time.
+# inputs, so per-iteration interpreter overhead dominates the time.  The
+# back-substitution and Householder-panel sweeps time the test oracles
+# (``tests/oracles.py``), which the library no longer calls.
 
 
 @pytest.fixture(scope="module")
@@ -186,12 +189,10 @@ def kernel_inputs():
 
 
 def test_kernel_back_substitution_sweep(benchmark, kernel_inputs):
-    from repro.core.kernels import back_substitution
-
     triangulars = kernel_inputs[0]
 
     def sweep():
-        return sum(back_substitution(U, b, 1e-12)[0] for U, b in triangulars)
+        return sum(back_substitution_loop(U, b, 1e-12)[0] for U, b in triangulars)
 
     assert np.isfinite(benchmark(sweep))
 
@@ -220,8 +221,6 @@ def test_kernel_givens_downdate_sweep(benchmark, kernel_inputs):
 
 
 def test_kernel_householder_panel_sweep(benchmark, kernel_inputs):
-    from repro.core.kernels import householder_panel
-
     panels = kernel_inputs[4]
 
     def sweep():

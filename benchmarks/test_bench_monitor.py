@@ -22,7 +22,7 @@ deployment sized so the factorization dominates:
   sweep and a fresh Householder QR.
 
 ``test_monitor_observe_update_path`` asserts the >= 10x acceptance ratio
-against inline refactor timings; the separate ``*_refactor_path``
+on the medians of five inline timings of each path; the separate ``*_refactor_path``
 benchmark gives the slow path its own baseline entry so CI's regression
 gate sees both.  The steady-state tests record warm per-snapshot latency
 percentiles (p50/p99) at 1k and 4k paths in ``extra_info``.
@@ -145,17 +145,17 @@ class _Scenario:
             path_transmission=np.exp(self._dense @ x), num_probes=1000
         )
 
-    def time_observe(self, monitor: OnlineLossMonitor, rounds: int = 3):
-        """Best-of-*rounds* timing of the growth observe on a state copy."""
-        best = np.inf
+    def time_observe(self, monitor: OnlineLossMonitor, rounds: int = 5):
+        """Median-of-*rounds* timing of the growth observe on a state copy."""
+        times = []
         last = None
         for _ in range(rounds):
             state = copy.deepcopy(monitor)
             start = time.perf_counter()
             state.observe(self.growth_snapshot)
-            best = min(best, time.perf_counter() - start)
+            times.append(time.perf_counter() - start)
             last = state
-        return best, last
+        return float(np.median(times)), last
 
 
 @pytest.fixture(scope="session")
@@ -210,10 +210,10 @@ def test_monitor_observe_update_path(benchmark, growth_scenario):
         iterations=1,
     )
 
+    # Medians of five rounds each: one timing of either path can land in a
+    # slow phase of a shared host and swing the ratio by more than 10%.
     t_update, updated = scenario.time_observe(scenario.update_monitor)
-    t_refactor, refactored = scenario.time_observe(
-        scenario.refactor_monitor, rounds=2
-    )
+    t_refactor, refactored = scenario.time_observe(scenario.refactor_monitor)
     # The growth refresh rode the incremental paths, not a rebuild.
     assert updated.factorization_updates >= 1
     assert updated.cache_info()["reduction"].updates >= 1

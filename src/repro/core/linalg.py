@@ -1,21 +1,15 @@
 """Dense linear-algebra kernels used by LIA.
 
 The paper solves its linear systems "using Householder reflection to
-compute an orthogonal-triangular factorization" (Golub & Van Loan).  We
-implement that Householder QR explicitly — the phase-2 ``R*``
-factorization can run on it — plus the incremental Gram–Schmidt column
-selector used by the fast full-rank reduction strategy.  Everything is
-cross-checked against numpy/scipy in the test suite.
-
-The kernels are *blocked*: the Householder QR aggregates panels of
-reflections into compact-WY block reflectors (``P = I - V T V^T``) so the
-trailing-matrix update and the thin-Q accumulation run as matrix-matrix
-products, and the incremental basis stores its vectors in a preallocated
-2-D array so each orthogonalisation is two ``B.T @ v`` / ``B @ w``
-matvecs instead of a Python loop over basis vectors.  The pre-blocking
-seed implementations live on in the test suite as the pinning oracles
-for the equivalence tests.  The per-column inner loops are in
-:mod:`repro.core.kernels`.
+compute an orthogonal-triangular factorization" (Golub & Van Loan).  The
+library factorizes ``R*`` with LAPACK's economy QR and keeps the
+factorization current with Givens and CGS2 updates
+(:class:`QRFactorization`); the paper's blocked Householder QR lives on
+in the test suite as a reference.  The incremental Gram–Schmidt column
+selector behind the fast full-rank reduction stores its vectors in a
+preallocated 2-D array, so each orthogonalisation is two ``B.T @ v`` /
+``B @ w`` matvecs instead of a Python loop over basis vectors.  The
+per-column inner loops are in :mod:`repro.core.kernels`.
 """
 
 from __future__ import annotations
@@ -30,17 +24,11 @@ from scipy import sparse
 from scipy.linalg import lapack as scipy_lapack
 
 from repro.core.kernels import (
-    back_substitution as _back_substitution_loop,
     cgs2_project,
     givens_append_rows,
     givens_downdate,
     givens_insert_column,
-    householder_panel,
 )
-
-#: Panel width of the blocked Householder QR.  32 keeps the T matrices
-#: tiny while making the trailing update a genuine BLAS-3 operation.
-DEFAULT_BLOCK_SIZE = 32
 
 #: Residual-norm ratio below which :meth:`QRFactorization.add_column`
 #: declares the offered column dependent and refuses the update.  Same
@@ -77,85 +65,6 @@ def solve_upper_triangular(r: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def householder_qr(
-    matrix: np.ndarray,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Compact blocked Householder QR: ``(Q, R)`` with ``Q`` m x n, ``R`` n x n.
-
-    Golub & Van Loan algorithm 5.2.2 with the compact-WY representation:
-    each panel of ``block_size`` reflections is aggregated into
-    ``P = I - V T V^T`` and applied to the trailing matrix (and later to
-    the identity block for thin ``Q``) as two matrix products.  Requires
-    ``m >= n``.  Bit-for-bit this reorders the sums of the unblocked
-    reference, but the factorization it returns is the same to machine
-    precision (pinned by the equivalence tests).
-    """
-    A = np.array(matrix, dtype=np.float64)
-    if A.ndim != 2:
-        raise ValueError("matrix must be two-dimensional")
-    m, n = A.shape
-    if m < n:
-        raise ValueError(f"householder_qr requires m >= n, got {m} x {n}")
-    if block_size < 1:
-        raise ValueError("block_size must be positive")
-
-    V = np.zeros((m, n), dtype=np.float64)
-    betas = np.zeros(n, dtype=np.float64)
-    panels: List[Tuple[int, int, np.ndarray]] = []  # (k0, k1, T)
-
-    for k0 in range(0, n, block_size):
-        k1 = min(k0 + block_size, n)
-        # Unblocked factorization of the panel columns plus forward
-        # accumulation of T (H_{k0} ... H_{k1-1} = I - Vp T Vp^T).
-        T = householder_panel(A, V, betas, k0, k1)
-        panels.append((k0, k1, T))
-        # Blocked trailing update:  A := P^T A = A - V T^T (V^T A).
-        if k1 < n:
-            Vp = V[k0:, k0:k1]
-            W = Vp.T @ A[k0:, k1:]
-            A[k0:, k1:] -= Vp @ (T.T @ W)
-
-    R = np.triu(A[:n, :])
-
-    # Thin Q = P_0 P_1 ... P_last applied to the identity block, so the
-    # panels are applied in reverse order:  Q := Q - V T (V^T Q).
-    Q = np.zeros((m, n), dtype=np.float64)
-    Q[:n, :n] = np.eye(n)
-    for k0, k1, T in reversed(panels):
-        Vp = V[k0:, k0:k1]
-        Q[k0:, :] -= Vp @ (T @ (Vp.T @ Q[k0:, :]))
-    return Q, R
-
-
-def back_substitution(upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``U x = b`` for upper-triangular ``U`` (zero diag -> 0 entry).
-
-    Zero pivots get a zero solution component instead of raising: LIA's
-    phase-1 matrix is full rank by Theorem 1, but sampled systems can be
-    numerically deficient and a minimum-norm-flavoured fallback keeps the
-    estimator total.  The non-degenerate case dispatches to LAPACK
-    ``trtrs``; the elimination loop only runs when a pivot actually
-    underflows the tolerance.
-    """
-    U = np.asarray(upper, dtype=np.float64)
-    b = np.asarray(rhs, dtype=np.float64)
-    n = U.shape[0]
-    if U.shape != (n, n):
-        raise ValueError("upper must be square")
-    if b.shape[0] != n:
-        raise ValueError("rhs length mismatch")
-    if n == 0:
-        return np.zeros(0, dtype=np.float64)
-    scale = np.max(np.abs(U))
-    tol = max(scale, 1.0) * n * np.finfo(np.float64).eps
-    if np.min(np.abs(np.diag(U))) > tol:
-        return scipy_linalg.solve_triangular(U, b, lower=False, check_finite=False)
-    return _back_substitution_loop(
-        np.ascontiguousarray(U), np.ascontiguousarray(b), tol
-    )
-
-
 @dataclass(frozen=True)
 class QRFactorization:
     """Thin QR of a (tall, full-column-rank) matrix, built for reuse.
@@ -183,14 +92,9 @@ class QRFactorization:
         cls,
         matrix: np.ndarray,
         columns: Optional[Sequence[int]] = None,
-        method: str = "lapack",
     ) -> "QRFactorization":
-        """Factorize a dense (or sparse, densified) matrix.
-
-        *method* ``"lapack"`` uses the economy LAPACK QR; ``"householder"``
-        uses this module's blocked kernel (the paper's algorithm, kept for
-        reference and cross-checking).
-        """
+        """Factorize a dense (or sparse, densified) matrix with LAPACK's
+        economy QR."""
         if sparse.issparse(matrix):
             matrix = matrix.toarray()
         A = np.asarray(matrix, dtype=np.float64)
@@ -203,12 +107,7 @@ class QRFactorization:
         cols = tuple(int(c) for c in columns)
         if len(cols) != A.shape[1]:
             raise ValueError("one column label per matrix column required")
-        if method == "lapack":
-            q, r = scipy_linalg.qr(A, mode="economic", check_finite=False)
-        elif method == "householder":
-            q, r = householder_qr(A)
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        q, r = scipy_linalg.qr(A, mode="economic", check_finite=False)
         # LAPACK hands back Fortran-order arrays; the update/downdate
         # kernels want C-contiguous Q, and paying the layout copy once
         # here keeps it out of every incremental refresh.

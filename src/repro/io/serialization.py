@@ -63,12 +63,28 @@ def network_to_dict(network: Network) -> Dict:
     }
 
 
-def network_from_dict(payload: Dict) -> Network:
+def network_from_dict(payload: Dict, other_references: int = 0) -> Network:
+    """Load a network, refusing more nodes than anything can reference.
+
+    A node id is referenced by a link endpoint or, in a campaign
+    document, by one of *other_references* beacon and destination
+    entries; a declared node beyond that count could only be isolated,
+    and building a million of them takes seconds before any link is
+    read, so ``nodes`` is bounded by two per link plus
+    *other_references*.
+    """
+    links = _list(payload, "links", "network")
+    limit = 2 * len(links) + other_references
     num_nodes = _integer(_field(payload, "nodes", "network"), "network.nodes")
+    if num_nodes > limit:
+        raise ValueError(
+            f"network.nodes must be at most {limit} (two per link plus one "
+            f"per beacon and destination), got {num_nodes}"
+        )
     network = Network()
     for node in range(num_nodes):
         network.add_node(node)
-    for index, entry in enumerate(_list(payload, "links", "network")):
+    for index, entry in enumerate(links):
         at = f"network.links[{index}]"
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise ValueError(f"{at} must be a [tail, head] pair, got {entry!r}")
@@ -147,7 +163,11 @@ def document_from_dict(payload: Dict) -> CampaignDocument:
     tag = payload.get("format")
     if tag != FORMAT_TAG:
         raise ValueError(f"unsupported document format {tag!r}")
-    network = network_from_dict(_field(payload, "network", "document"))
+    beacons = _list(payload, "beacons", "document")
+    destinations = _list(payload, "destinations", "document")
+    network = network_from_dict(
+        _field(payload, "network", "document"), len(beacons) + len(destinations)
+    )
     paths = paths_from_list(_field(payload, "paths", "document"), network)
     snapshots = []
     for index, entry in enumerate(_list(payload, "snapshots", "document")):
@@ -167,11 +187,11 @@ def document_from_dict(payload: Dict) -> CampaignDocument:
         network=network,
         beacons=[
             _integer(b, f"beacons[{k}]", bound=network.num_nodes)
-            for k, b in enumerate(_list(payload, "beacons", "document"))
+            for k, b in enumerate(beacons)
         ],
         destinations=[
             _integer(d, f"destinations[{k}]", bound=network.num_nodes)
-            for k, d in enumerate(_list(payload, "destinations", "document"))
+            for k, d in enumerate(destinations)
         ],
         paths=paths,
         snapshots=snapshots,

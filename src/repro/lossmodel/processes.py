@@ -12,10 +12,20 @@ matter to the paper:
 The interface exposes two granularities so the probing simulator can trade
 fidelity for speed:
 
+``sample_packed(loss_rates, num_probes, seed)``
+    The drop realisation as a ``(num_links, ceil(num_probes / 64))``
+    ``uint64`` matrix: bit ``t % 64`` of word ``t // 64`` is set where the
+    link drops the probe sent in slot ``t``, and the padding bits past
+    ``num_probes`` are zero.  This is the one representation of a
+    packet-mode snapshot: a path's probe survives slot ``t`` iff the OR
+    of its links' words has bit ``t`` clear, and popcounts give the drop
+    counts.  All paths crossing a link observe the same realisation,
+    which is exactly Assumption S.1.  The default packs
+    ``sample_states``; a process with a cheaper packed form overrides it.
+
 ``sample_states(loss_rates, num_probes, seed)``
-    ``(num_links, num_probes)`` boolean array, True where the link drops
-    the probe sent at that index.  All paths crossing a link observe the
-    same realisation, which is exactly Assumption S.1.
+    The same realisation unpacked: a ``(num_links, num_probes)`` boolean
+    array, True where the link drops the probe sent at that index.
 
 ``sample_loss_fractions(loss_rates, num_probes, seed)``
     Per-link fraction of dropped probes for the snapshot (the flow-level
@@ -49,6 +59,30 @@ STREAMING_PROBE_THRESHOLD = 4096
 STREAMING_CHUNK = 2048
 
 
+def pack_states(states: np.ndarray) -> np.ndarray:
+    """Pack a ``(num_links, num_probes)`` boolean drop matrix into words.
+
+    Returns the ``(num_links, ceil(num_probes / 64))`` ``uint64`` layout
+    of :meth:`LossProcess.sample_packed`, padding bits zero.
+    """
+    states = np.asarray(states, dtype=bool)
+    num_links, num_probes = states.shape
+    words = -(-num_probes // 64)
+    packed = np.zeros((num_links, words * 8), dtype=np.uint8)
+    packed[:, : -(-num_probes // 8)] = np.packbits(
+        states, axis=1, bitorder="little"
+    )
+    return packed.view("<u8").astype(np.uint64, copy=False)
+
+
+def unpack_states(words: np.ndarray, num_probes: int) -> np.ndarray:
+    """Inverse of :func:`pack_states`: the first *num_probes* slots as bools."""
+    as_bytes = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(
+        as_bytes, axis=1, count=num_probes, bitorder="little"
+    ).view(bool)
+
+
 class LossProcess(abc.ABC):
     """Base class for per-link packet-loss processes."""
 
@@ -60,6 +94,19 @@ class LossProcess(abc.ABC):
         seed: SeedLike = None,
     ) -> np.ndarray:
         """Boolean drop matrix of shape ``(num_links, num_probes)``."""
+
+    def sample_packed(
+        self,
+        loss_rates: np.ndarray,
+        num_probes: int,
+        seed: SeedLike = None,
+    ) -> np.ndarray:
+        """Packed drop words of shape ``(num_links, ceil(num_probes / 64))``.
+
+        Same realisation, and the same generator draws, as
+        ``sample_states``; see the module docstring for the bit layout.
+        """
+        return pack_states(self.sample_states(loss_rates, num_probes, seed=seed))
 
     def iter_state_chunks(
         self,

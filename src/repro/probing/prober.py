@@ -5,10 +5,16 @@ UDP probes, 10 ms inter-arrival, 1000 probes per 10 s slot).  Two fidelity
 modes exercise the same downstream estimator code:
 
 * ``"packet"`` — every link runs one loss-process realisation per snapshot
-  (a boolean drop sequence indexed by probe slot); a path's probe survives
-  when *no* traversed link drops that slot.  All paths crossing a link see
-  the same realisation, which makes Assumption S.1 hold exactly and
-  induces the cross-path covariance LIA feeds on.
+  (a drop sequence indexed by probe slot); a path's probe survives when
+  *no* traversed link drops that slot.  All paths crossing a link see the
+  same realisation, which makes Assumption S.1 hold exactly and induces
+  the cross-path covariance LIA feeds on.  The realisation arrives packed
+  (:meth:`~repro.lossmodel.processes.LossProcess.sample_packed`: one
+  ``uint64`` word per link per 64 slots, bit ``t % 64`` of word
+  ``t // 64`` set where slot ``t`` is dropped, padding bits zero).  A
+  path's drop words are the bitwise OR of its links' words, reduced in
+  the membership matrix's CSR order, and every loss count is a popcount,
+  so no ``(num_links, num_probes)`` boolean matrix is ever built.
 * ``"flow"`` — each link contributes its snapshot loss *fraction*; a
   path's transmission rate is the product of per-link survival fractions,
   optionally re-sampled through a binomial to model path-level sampling
@@ -146,8 +152,8 @@ class ProbingSimulator:
             np.fromiter((link.index for link in p.links), dtype=np.int64)
             for p in self.paths
         ]
-        # Sparse (paths x physical links) membership matrix: one batched
-        # matmul replaces the per-path gather loops in both fidelity modes.
+        # Sparse (paths x physical links) membership matrix: flow mode
+        # multiplies by it, packet mode ORs drop words in its CSR order.
         indptr = np.zeros(len(self.paths) + 1, dtype=np.int64)
         np.cumsum([links.size for links in self._path_links], out=indptr[1:])
         indices = (
@@ -198,12 +204,17 @@ class ProbingSimulator:
         self, truth: SnapshotGroundTruth, rng: np.random.Generator
     ) -> "tuple[np.ndarray, np.ndarray]":
         num_probes = self.config.probes_per_snapshot
-        drops = self.process.sample_states(truth.loss_rates, num_probes, seed=rng)
-        # counts[i, t] = how many of path i's links dropped probe slot t;
-        # a probe survives iff that count is zero.
-        counts = self._membership @ drops.astype(np.float64)
-        rates = 1.0 - (counts > 0).mean(axis=1)
-        return rates, drops.mean(axis=1)
+        drops = self.process.sample_packed(truth.loss_rates, num_probes, seed=rng)
+        # A path loses slot t iff any of its links drops it: OR its links'
+        # words in membership (CSR) order.  Padding bits are zero, so the
+        # popcounts are exact drop counts.
+        membership = self._membership
+        path_drops = np.bitwise_or.reduceat(
+            drops[membership.indices], membership.indptr[:-1], axis=0
+        )
+        lost = np.bitwise_count(path_drops).sum(axis=1, dtype=np.int64)
+        dropped = np.bitwise_count(drops).sum(axis=1, dtype=np.int64)
+        return 1.0 - lost / num_probes, dropped / num_probes
 
     def _measure_flow(
         self, truth: SnapshotGroundTruth, rng: np.random.Generator

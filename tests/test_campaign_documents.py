@@ -19,6 +19,7 @@ from repro.cli import main
 from repro.io import CampaignDocument, document_from_dict, document_to_dict
 from repro.probing import Snapshot
 from repro.topology.examples import figure2_paths
+from repro.topology.graph import Network
 
 
 def valid_payload() -> dict:
@@ -69,6 +70,11 @@ BAD_DOCUMENTS = [
         "network.links[8][1]",
         id="node-outside-the-network",
     ),
+    pytest.param(
+        lambda d: d["network"].__setitem__("nodes", 10**6),
+        "network.nodes",
+        id="more-nodes-than-references",
+    ),
 ]
 
 
@@ -90,6 +96,26 @@ def test_bad_document_is_a_value_error_naming_the_field(
 
 def test_valid_document_round_trips():
     assert document_to_dict(document_from_dict(VALID)) == VALID
+
+
+def test_huge_node_count_is_refused_before_building_nodes(monkeypatch):
+    """A million declared nodes over eight links fail at once: no node
+    is added before the count is checked against the references."""
+    payload = copy.deepcopy(VALID)
+    payload["network"]["nodes"] = 10**6
+    added = []
+    monkeypatch.setattr(Network, "add_node", lambda self, node: added.append(node))
+    with pytest.raises(ValueError, match=r"network\.nodes must be at most 2\d"):
+        document_from_dict(payload)
+    assert added == []
+
+
+def test_node_count_at_the_reference_bound_loads():
+    payload = copy.deepcopy(VALID)
+    references = len(payload["beacons"]) + len(payload["destinations"])
+    payload["network"]["nodes"] = 2 * len(payload["network"]["links"]) + references
+    document = document_from_dict(payload)
+    assert document.network.num_nodes == payload["network"]["nodes"]
 
 
 #: Replacement values for the fuzz: wrong types, fractional and

@@ -1,8 +1,47 @@
 """Tests for the command-line interface."""
 
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_commands():
+    """Every ``repro ...`` / ``python -m repro ...`` line in README code
+    blocks, continuation lines joined, as ``(line number, argv)``."""
+    commands, pending, in_block = [], None, False
+    for number, line in enumerate(README.read_text().splitlines(), 1):
+        text = line.strip()
+        if text.startswith("```"):
+            in_block = not in_block
+            continue
+        if not in_block:
+            continue
+        if pending is None:
+            if not re.match(r"(repro|python -m repro)\s", text):
+                continue
+            pending = [number, ""]
+        pending[1] += " " + text.rstrip("\\")
+        if not text.endswith("\\"):
+            words = shlex.split(pending[1], comments=True)
+            argv = words[3:] if words[0] == "python" else words[1:]
+            commands.append(pytest.param(argv, id=f"README:{pending[0]}"))
+            pending = None
+    return commands
+
+
+@pytest.mark.parametrize("argv", _readme_commands())
+def test_readme_command_parses(argv, capsys):
+    """README's example commands are accepted by the real parser."""
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit as exit_:
+        assert exit_.code == 0, capsys.readouterr().err  # --help exits 0
 
 
 class TestAudit:

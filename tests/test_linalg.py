@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 from scipy import linalg as scipy_linalg
 
-from oracles import solve_least_squares_qr
+from oracles import back_substitution, householder_qr, solve_least_squares_qr
 from repro.core.linalg import (
     IncrementalColumnBasis,
     QRFactorization,
-    back_substitution,
     greedy_independent_columns,
-    householder_qr,
     qr_column_rank,
 )
 
